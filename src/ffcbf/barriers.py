@@ -28,8 +28,10 @@ so its row ("zero" kind) is the second-order construction
 which is the standard treatment for relative-degree-2 distance constraints.
 
 Scalar functions are written in plain float math (they sit on the per-tick
-control path); *_batch variants are vectorized over leading array dimensions
-for the large randomized property suites.
+control path) and take each vehicle's trig and planar velocity from
+VehicleState.trig, which is computed once per state however many pair rows
+read it; *_batch variants are vectorized over leading array dimensions for
+the large randomized property suites.
 """
 
 from __future__ import annotations
@@ -171,11 +173,9 @@ def _pair_core(state_i: VehicleState, state_j: VehicleState, ff: FfParams):
     """(xi_x, xi_y, nu_x, nu_y, p, q, D, ts, th) for a vehicle pair."""
     xi_x = state_i.x - state_j.x
     xi_y = state_i.y - state_j.y
-    ci, si = math.cos(state_i.psi), math.sin(state_i.psi)
-    cj, sj = math.cos(state_j.psi), math.sin(state_j.psi)
-    tbi, tbj = math.tan(state_i.beta), math.tan(state_j.beta)
-    nu_x = state_i.v * (ci - si * tbi) - state_j.v * (cj - sj * tbj)
-    nu_y = state_i.v * (si + ci * tbi) - state_j.v * (sj + cj * tbj)
+    ti, tj = state_i.trig, state_j.trig
+    nu_x = ti[0] - tj[0]
+    nu_y = ti[1] - tj[1]
     p = xi_x * nu_x + xi_y * nu_y
     q = nu_x * nu_x + nu_y * nu_y
     D = q + ff.epsilon
@@ -208,17 +208,8 @@ def h_rff(state_i: VehicleState, state_j: VehicleState, rff: RffParams) -> float
 
 def _vehicle_planar(state: VehicleState, lr: float):
     """Per-vehicle planar terms: xd, yd, S columns (s_w, s_a) and drift."""
-    c, s = math.cos(state.psi), math.sin(state.psi)
-    tb = math.tan(state.beta)
-    sec2 = 1.0 + tb * tb
-    v = state.v
-    sax = c - s * tb
-    say = s + c * tb
-    xd = v * sax
-    yd = v * say
-    swx = -v * s * sec2
-    swy = v * c * sec2
-    psid = (v / lr) * tb
+    xd, yd, tb, sax, say, swx, swy = state.trig
+    psid = (state.v / lr) * tb
     return xd, yd, swx, swy, sax, say, -yd * psid, xd * psid
 
 

@@ -102,24 +102,31 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     _check_keys("barrier", bar_d, _BARRIER_KEYS)
     base = ScenarioConfig()
     scen = {k: data.get(k, getattr(base, k)) for k in _SCENARIO_KEYS}
-    R = float(scen["R"])
-    ff = FfParams(
-        tau_bar=float(bar_d.get("tau_bar", 5.0)), k=float(bar_d.get("k", 1000.0)),
-        epsilon=float(bar_d.get("epsilon", 1e-9)), R=R,
-    )
-    rff = RffParams(
-        ff=ff, k0_scale=float(bar_d.get("k0_scale", 0.1)),
-        k0_floor=float(bar_d.get("k0_floor", 0.001)),
-    )
-    vehicle = VehicleParams(
-        lr=float(veh_d.get("lr", 1.0)), lf=float(veh_d.get("lf", 1.0)), R=R
-    )
-    ctrl_base = ControllerConfig()
-    ctrl_kwargs = {k: ctrl_d.get(k, getattr(ctrl_base, k)) for k in _CONTROLLER_KEYS}
-    controller = ControllerConfig(
-        vehicle=vehicle, rff=rff, v_max=float(scen["v_max"]), **ctrl_kwargs
-    )
-    return ScenarioConfig(controller=controller, **scen)
+    # A bad value is a configuration error, reported like an unknown key,
+    # not a traceback from deep inside a parameter class.
+    try:
+        R = float(scen["R"])
+        ff = FfParams(
+            tau_bar=float(bar_d.get("tau_bar", 5.0)), k=float(bar_d.get("k", 1000.0)),
+            epsilon=float(bar_d.get("epsilon", 1e-9)), R=R,
+        )
+        rff = RffParams(
+            ff=ff, k0_scale=float(bar_d.get("k0_scale", 0.1)),
+            k0_floor=float(bar_d.get("k0_floor", 0.001)),
+        )
+        vehicle = VehicleParams(
+            lr=float(veh_d.get("lr", 1.0)), lf=float(veh_d.get("lf", 1.0)), R=R
+        )
+        ctrl_base = ControllerConfig()
+        ctrl_kwargs = {k: ctrl_d.get(k, getattr(ctrl_base, k)) for k in _CONTROLLER_KEYS}
+        controller = ControllerConfig(
+            vehicle=vehicle, rff=rff, v_max=float(scen["v_max"]), **ctrl_kwargs
+        )
+        return ScenarioConfig(controller=controller, **scen)
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid config value: {exc}") from exc
 
 
 def read_config(path: str) -> ScenarioConfig:

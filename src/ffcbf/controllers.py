@@ -58,6 +58,13 @@ class NominalTarget:
             raise ValueError(f"q_star must be a finite 4-vector, got {self.q_star!r}")
         object.__setattr__(self, "q_star", q)
 
+    @classmethod
+    def _trusted(cls, x: float, y: float, xdot: float, ydot: float) -> "NominalTarget":
+        """Target from floats the caller computed itself; skips the check."""
+        target = object.__new__(cls)
+        object.__setattr__(target, "q_star", np.array([x, y, xdot, ydot]))
+        return target
+
 
 def lqr_gain(q_pos: float, q_vel: float, r: float) -> np.ndarray:
     """2x4 LQR gain for the planar double integrator, block-diagonal over axes.
@@ -116,25 +123,18 @@ def nominal_control(
     v_eps: float = 1e-3,
 ) -> tuple[float, float]:
     """LQR planar acceleration mapped to (omega0, a0) through the S matrix."""
-    c, s = math.cos(state.psi), math.sin(state.psi)
-    tb = math.tan(state.beta)
-    xd = state.v * (c - s * tb)
-    yd = state.v * (s + c * tb)
-    q = target.q_star
-    ex, ey = state.x - q[0], state.y - q[1]
-    evx, evy = xd - q[2], yd - q[3]
-    mu_x = -(gain[0, 0] * ex + gain[0, 2] * evx)
-    mu_y = -(gain[1, 1] * ey + gain[1, 3] * evy)
+    xd, yd, tb, s12, s22, s11, s21 = state.trig
+    qx, qy, qvx, qvy = target.q_star.tolist()
+    (k1x, _, k2x, _), (_, k1y, _, k2y) = gain.tolist()
+    ex, ey = state.x - qx, state.y - qy
+    evx, evy = xd - qvx, yd - qvy
+    mu_x = -(k1x * ex + k2x * evx)
+    mu_y = -(k1y * ey + k2y * evy)
     if abs(state.v) < v_eps:
         return 0.0, math.hypot(mu_x, mu_y)
     psid = (state.v / params.lr) * tb
     rx = mu_x + yd * psid
     ry = mu_y - xd * psid
-    sec2 = 1.0 + tb * tb
-    s11 = -state.v * s * sec2
-    s12 = c - s * tb
-    s21 = state.v * c * sec2
-    s22 = s + c * tb
     det = s11 * s22 - s12 * s21  # = -v * sec^2(beta), nonzero here
     omega0 = (s22 * rx - s12 * ry) / det
     a0 = (-s21 * rx + s11 * ry) / det
@@ -201,22 +201,23 @@ def build_centralized_qp(states, targets, config: ControllerConfig):
     rows = []
     for idx, st in enumerate(states):
         _, phi, gam = h_speed(st, config.v_max, config.speed_alpha)
-        coeff = np.zeros(n)
+        coeff = [0.0] * n
         coeff[idx] = gam
         rows.append((coeff, -phi))
+    kind, alpha_gain, vehicle, rff = config.cbf_kind, config.alpha_gain, config.vehicle, config.rff
+    hocbf_gain, zero_margin = config.hocbf_gain, config.zero_margin
     for i in range(n):
         for j in range(i + 1, n):
             ev = constraint_row(
-                config.cbf_kind, states[i], states[j], omegas[i], omegas[j],
-                config.alpha_gain, config.vehicle, config.rff, config.hocbf_gain,
-                config.zero_margin,
+                kind, states[i], states[j], omegas[i], omegas[j],
+                alpha_gain, vehicle, rff, hocbf_gain, zero_margin,
             )
-            coeff = np.zeros(n)
+            coeff = [0.0] * n
             coeff[i] = ev.gamma_i
             coeff[j] = ev.gamma_j
             rows.append((coeff, -ev.phi))
-    box = (np.full(n, -config.a_bar), np.full(n, config.a_bar))
-    problem = qp.QpProblem(dim=n, target=np.array(accels), rows=tuple(rows), box=box)
+    box = ([-config.a_bar] * n, [config.a_bar] * n)
+    problem = qp.QpProblem(dim=n, target=accels, rows=rows, box=box)
     return problem, omegas, accels
 
 
@@ -225,7 +226,7 @@ def centralized_step(states, targets, config: ControllerConfig, warm_start=None)
     problem, omegas, _ = build_centralized_qp(states, targets, config)
     sol = qp.solve(problem, warm_start)
     if sol.status == "optimal":
-        inputs = tuple(ControlInput(w, float(a)) for w, a in zip(omegas, sol.u))
+        inputs = tuple(map(ControlInput, omegas, sol.u.tolist()))
         return StepResult(inputs, True, sol.active_set, sol.iterations)
     # Infeasible program: brake to a stop, slip rates per the saturated nominal.
     inputs = tuple(
@@ -239,9 +240,8 @@ def build_decentralized_qp(ego_index, states, target_ego, config: ControllerConf
     ego = states[ego_index]
     w0, a0 = nominal_control(ego, target_ego, config.lqr_gain, config.vehicle, config.v_eps)
     w_star = saturate_omega(w0, config.omega_bar)
-    rows = []
     _, phi, gam = h_speed(ego, config.v_max, config.speed_alpha)
-    rows.append((np.array([gam]), -phi))
+    rows = [([gam], -phi)]
     for j, other in enumerate(states):
         if j == ego_index:
             continue
@@ -253,9 +253,9 @@ def build_decentralized_qp(ego_index, states, target_ego, config: ControllerConf
             config.alpha_gain, config.vehicle, config.rff, config.hocbf_gain,
             config.zero_margin,
         )
-        rows.append((np.array([ev.gamma_i]), -(ev.phi - config.decentral_eps)))
-    box = (np.array([-config.a_bar]), np.array([config.a_bar]))
-    problem = qp.QpProblem(dim=1, target=np.array([a0]), rows=tuple(rows), box=box)
+        rows.append(([ev.gamma_i], -(ev.phi - config.decentral_eps)))
+    box = ([-config.a_bar], [config.a_bar])
+    problem = qp.QpProblem(dim=1, target=[a0], rows=rows, box=box)
     return problem, w_star, a0
 
 
@@ -267,7 +267,7 @@ def decentralized_step(
     sol = qp.solve(problem, warm_start)
     if sol.status == "optimal":
         return StepResult(
-            (ControlInput(w_star, float(sol.u[0])),), True, sol.active_set, sol.iterations
+            (ControlInput(w_star, sol.u.item(0)),), True, sol.active_set, sol.iterations
         )
     return StepResult(
         (ControlInput(w_star, _max_braking(states[ego_index], config)),),

@@ -15,12 +15,20 @@ Besides the derivative and an RK4 integrator, this module exposes the
 planar-acceleration structure needed by the barrier rows and the LQR
 input mapping: [xddot, yddot] = drift + S @ [omega, a], where S is the
 2x2 coupling matrix (invertible iff v != 0).
+
+One control tick reads the bicycle trig of each state about a dozen times
+(nominal control, every pair row, the first RK4 stage), so VehicleState
+computes cos(psi), sin(psi), tan(beta), the planar velocity and S once, on
+first use, and every reader takes them from VehicleState.trig.  The RK4
+step is unrolled in plain float math with the same operations, in the same
+order, as the textbook stage-by-stage form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +55,23 @@ class VehicleState:
     psi: float      # heading angle (rad)
     beta: float     # slip angle (rad), |beta| < pi/2
     v: float        # rear-wheel speed (m/s)
+
+    @cached_property
+    def trig(self) -> tuple[float, float, float, float, float, float, float]:
+        """(xdot, ydot, tan(beta), S01, S11, S00, S10), computed once per state.
+
+        S is the planar coupling matrix of planar_kinematics; its acceleration
+        column [S01, S11] = [cos - sin tan, sin + cos tan] is the velocity
+        direction, so (xdot, ydot) = v * (S01, S11).  The slip angle is not
+        checked here; callers that need the domain check do it themselves.
+        """
+        c, s = math.cos(self.psi), math.sin(self.psi)
+        tb = math.tan(self.beta)
+        sec2 = 1.0 + tb * tb
+        v = self.v
+        sax = c - s * tb
+        say = s + c * tb
+        return v * sax, v * say, tb, sax, say, -v * s * sec2, v * c * sec2
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.psi, self.beta, self.v])
@@ -102,59 +127,58 @@ def bicycle_derivative(
 ) -> np.ndarray:
     """Time derivative [xdot, ydot, psidot, betadot, vdot] of the bicycle state."""
     _check_beta(state.beta)
-    c, s = math.cos(state.psi), math.sin(state.psi)
-    tb = math.tan(state.beta)
-    v = state.v
-    return np.array([
-        v * (c - s * tb),
-        v * (s + c * tb),
-        (v / params.lr) * tb,
-        inp.omega,
-        inp.a,
-    ])
-
-
-def _deriv_tuple(z, omega, a, lr):
-    # Tuple-based derivative for the RK4 hot path (no array allocation).
-    x, y, psi, beta, v = z
-    if not abs(beta) < _HALF_PI:
-        raise ValueError(f"slip angle |beta|={abs(beta):.6f} outside (-pi/2, pi/2)")
-    c, s = math.cos(psi), math.sin(psi)
-    tb = math.tan(beta)
-    return (v * (c - s * tb), v * (s + c * tb), (v / lr) * tb, omega, a)
+    xd, yd, tb = state.trig[:3]
+    return np.array([xd, yd, (state.v / params.lr) * tb, inp.omega, inp.a])
 
 
 def step(
     state: VehicleState, inp: ControlInput, params: VehicleParams, dt: float
 ) -> VehicleState:
-    """One fixed-step RK4 integration with the input held constant over the step."""
+    """One fixed-step RK4 integration with the input held constant over the step.
+
+    Unrolled: the stage positions are never formed because the derivative
+    does not depend on (x, y), and the first stage reuses state.trig.  Each
+    remaining value is computed as z0 + h * k_i and combined as
+    z0 + dt/6 * (k1 + 2 k2 + 2 k3 + k4), the textbook order.
+    """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     omega, a, lr = inp.omega, inp.a, params.lr
-    z0 = (state.x, state.y, state.psi, state.beta, state.v)
-    k1 = _deriv_tuple(z0, omega, a, lr)
-    z1 = tuple(z0[i] + 0.5 * dt * k1[i] for i in range(5))
-    k2 = _deriv_tuple(z1, omega, a, lr)
-    z2 = tuple(z0[i] + 0.5 * dt * k2[i] for i in range(5))
-    k3 = _deriv_tuple(z2, omega, a, lr)
-    z3 = tuple(z0[i] + dt * k3[i] for i in range(5))
-    k4 = _deriv_tuple(z3, omega, a, lr)
+    x, y, psi, beta, v = state.x, state.y, state.psi, state.beta, state.v
+    half = 0.5 * dt
+    _check_beta(beta)
+    x1, y1, tb = state.trig[:3]
+    p1 = (v / lr) * tb
+
+    psi_s, beta_s, v_s = psi + half * p1, beta + half * omega, v + half * a
+    _check_beta(beta_s)
+    c, s, tb = math.cos(psi_s), math.sin(psi_s), math.tan(beta_s)
+    x2, y2, p2 = v_s * (c - s * tb), v_s * (s + c * tb), (v_s / lr) * tb
+
+    psi_s, beta_s, v_s = psi + half * p2, beta + half * omega, v + half * a
+    _check_beta(beta_s)
+    c, s, tb = math.cos(psi_s), math.sin(psi_s), math.tan(beta_s)
+    x3, y3, p3 = v_s * (c - s * tb), v_s * (s + c * tb), (v_s / lr) * tb
+
+    psi_s, beta_s, v_s = psi + dt * p3, beta + dt * omega, v + dt * a
+    _check_beta(beta_s)
+    c, s, tb = math.cos(psi_s), math.sin(psi_s), math.tan(beta_s)
+    x4, y4, p4 = v_s * (c - s * tb), v_s * (s + c * tb), (v_s / lr) * tb
+
     sixth = dt / 6.0
     return VehicleState(
-        z0[0] + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        z0[1] + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        z0[2] + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-        z0[3] + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
-        z0[4] + sixth * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4]),
+        x + sixth * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
+        y + sixth * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
+        psi + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
+        beta + sixth * (omega + 2.0 * omega + 2.0 * omega + omega),
+        v + sixth * (a + 2.0 * a + 2.0 * a + a),
     )
 
 
 def planar_velocity(state: VehicleState) -> tuple[float, float]:
     """(xdot, ydot) of the c.g. at the current state."""
     _check_beta(state.beta)
-    c, s = math.cos(state.psi), math.sin(state.psi)
-    tb = math.tan(state.beta)
-    return state.v * (c - s * tb), state.v * (s + c * tb)
+    return state.trig[:2]
 
 
 def predict_position(state: VehicleState, tau: float) -> tuple[float, float]:
@@ -182,17 +206,9 @@ def planar_kinematics(state: VehicleState, params: VehicleParams) -> PlanarKinem
     det S = -v sec^2(beta), so S is invertible iff v != 0.
     """
     _check_beta(state.beta)
-    c, s = math.cos(state.psi), math.sin(state.psi)
-    tb = math.tan(state.beta)
-    sec2 = 1.0 + tb * tb
-    v = state.v
-    xd = v * (c - s * tb)
-    yd = v * (s + c * tb)
-    psid = (v / params.lr) * tb
-    coupling = np.array([
-        [-v * s * sec2, c - s * tb],
-        [v * c * sec2, s + c * tb],
-    ])
+    xd, yd, tb, sax, say, swx, swy = state.trig
+    psid = (state.v / params.lr) * tb
     return PlanarKinematics(
-        xdot=xd, ydot=yd, drift_ax=-yd * psid, drift_ay=xd * psid, coupling=coupling
+        xdot=xd, ydot=yd, drift_ax=-yd * psid, drift_ay=xd * psid,
+        coupling=np.array([[swx, sax], [swy, say]]),
     )

@@ -4,24 +4,30 @@ Solves   min 1/2 ||u - u0||^2   s.t.  coeff_r . u >= lb_r  (rows),  lo <= u <= h
 
 with a primal active-set method.  The identity Hessian makes every subproblem
 a Euclidean projection: the equality-constrained step is u0 + G_W^T lambda
-with (G_W G_W^T) lambda = b_W - G_W u0, factored by Cholesky (least-squares
-fallback near rank deficiency).  Rows are normalized internally so the result
-is invariant to row scaling.
+with (G_W G_W^T) lambda = b_W - G_W u0, solved with np.linalg.solve (least
+squares when the Gram matrix is singular).  Rows are normalized internally so
+the result is invariant to row scaling.
 
-A feasible starting point is taken from (in order) the warm-started working
-set, the box-clipped target, or a phase-1 minimum-slack LP (HiGHS via scipy);
+The box-clipped target is returned as is when it satisfies every row (the
+common control tick).  Otherwise a feasible starting point is taken from (in
+order) the warm-started working set, the projection onto the most violated
+rows, or a phase-1 minimum-slack LP (HiGHS via scipy, imported on first use);
 the problem is declared infeasible when the minimum slack exceeds 1e-7.
-Problems here are tiny (a handful of variables, tens of rows) and solved
-thousands of times per simulation, so determinism and cheap warm starts
-matter more than asymptotics.
+
+Problems here are tiny (a handful of variables, tens of rows), and one is
+built and solved on every control tick, so the fixed cost of each numpy call
+dominates: QpProblem stacks and checks its rows in a few vectorized calls,
+and solve() reads small vectors through tolist() rather than by numpy scalar
+indexing.  Every matrix product and linear solve stays a numpy call: a dot
+product written in Python would round differently from BLAS.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = ["QpProblem", "QpSolution", "solve", "verify_kkt"]
 
@@ -33,12 +39,36 @@ _STEP_EPS = 1e-12
 _NORM_EPS = 1e-13
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first phase-1 solve.
+
+    Importing SciPy takes most of the time of ``import ffcbf``, and most
+    control ticks never need the LP.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
+@functools.cache
+def _box_block(dim: int) -> np.ndarray:
+    """Read-only [I; -I] rows of the box bounds (+0.0 off the diagonal)."""
+    block = np.zeros((2 * dim, dim))
+    idx = np.arange(dim)
+    block[idx, idx] = 1.0
+    block[dim + idx, idx] = -1.0
+    block.flags.writeable = False
+    return block
+
+
 @dataclass(frozen=True)
 class QpProblem:
     """1/2 ||u - target||^2 under rows coeff.u >= lower_bound and box bounds.
 
-    rows is a sequence of (coeffs, lower_bound); box is (lower, upper) arrays
-    or None for an unbounded variable vector.
+    rows is a sequence of (coeffs, lower_bound) with coeffs any length-dim
+    sequence; box is (lower, upper) sequences or None for an unbounded
+    variable vector.  Every input is validated: non-finite values, wrong
+    shapes and lower > upper raise ValueError.
     """
 
     dim: int
@@ -47,50 +77,61 @@ class QpProblem:
     box: tuple | None = None
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
-        if self.target.shape != (self.dim,):
-            raise ValueError(f"target shape {self.target.shape} != ({self.dim},)")
-        if not np.all(np.isfinite(self.target)):
-            raise ValueError("non-finite target")
-        rows = tuple((np.asarray(c, dtype=float), float(lb)) for c, lb in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if self.box is not None:
-            lo = np.asarray(self.box[0], dtype=float)
-            hi = np.asarray(self.box[1], dtype=float)
-            if lo.shape != (self.dim,) or hi.shape != (self.dim,):
+        # Built on every control tick: the rows are stacked with one array
+        # call and every input is checked for finiteness in one pass.
+        dim = self.dim
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
+        target = np.asarray(self.target, dtype=float)
+        if target.shape != (dim,):
+            raise ValueError(f"target shape {target.shape} != ({dim},)")
+        rows = tuple(self.rows)
+        if rows:
+            try:
+                G = np.array([c for c, _ in rows], dtype=float)
+                b = np.array([lb for _, lb in rows], dtype=float)
+            except ValueError as exc:  # ragged or non-numeric rows
+                raise ValueError(f"malformed rows: {exc}") from None
+            if G.shape != (len(rows), dim) or b.ndim != 1:
+                raise ValueError(f"row shape {G.shape[1:]} != ({dim},)")
+        else:
+            G, b = np.zeros((0, dim)), np.zeros(0)
+        box = self.box
+        if box is not None:
+            try:
+                box = np.array(box, dtype=float)
+            except ValueError:  # bounds of different lengths
+                box = None
+            if box is None or box.shape != (2, dim):
                 raise ValueError("box shape mismatch")
-            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-                raise ValueError("non-finite box")
-            if np.any(lo > hi):
-                raise ValueError("box lower > upper")
-            object.__setattr__(self, "box", (lo, hi))
-        # Internal normalized row system (box bounds appended as rows), built
-        # once: solve() is called thousands of times per simulated second.
-        n_user = len(rows)
-        m = n_user + (2 * self.dim if self.box is not None else 0)
-        G = np.zeros((m, self.dim))
-        b = np.zeros(m)
-        for r, (c, lb) in enumerate(rows):
-            if c.shape != (self.dim,):
-                raise ValueError(f"row shape {c.shape} != ({self.dim},)")
-            G[r] = c
-            b[r] = lb
-        if self.box is not None:
-            lo, hi = self.box
-            idx = np.arange(self.dim)
-            G[n_user + idx, idx] = 1.0
-            b[n_user + idx] = lo
-            G[n_user + self.dim + idx, idx] = -1.0
-            b[n_user + self.dim + idx] = -hi
-        if not (np.all(np.isfinite(G)) and np.all(np.isfinite(b))):
-            raise ValueError("non-finite row")
+            lo, hi = box
+            # Box bounds are appended as rows: lower bounds, then upper.
+            G = np.concatenate((G, _box_block(dim)))
+            b = np.concatenate((b, lo, -hi))
         norms = np.linalg.norm(G, axis=1)
-        scale = np.where(norms > _NORM_EPS, norms, 1.0)
-        object.__setattr__(self, "_G", G / scale[:, None])
-        object.__setattr__(self, "_b", b / scale)
-        object.__setattr__(self, "_degenerate", norms <= _NORM_EPS)
+        # A NaN or inf in any input shows in target, b or the row norms (so
+        # does a finite row whose norm overflows, which passes the exact check).
+        if not np.isfinite(np.concatenate((target, b, norms))).all():
+            if not np.isfinite(target).all():
+                raise ValueError("non-finite target")
+            if box is not None and not np.isfinite(box).all():
+                raise ValueError("non-finite box")
+            if not (np.isfinite(G).all() and np.isfinite(b).all()):
+                raise ValueError("non-finite row")
+        if box is not None and (lo > hi).any():
+            raise ValueError("box lower > upper")
+        # Internal normalized row system, used by every step of solve().
+        degenerate = norms <= _NORM_EPS
+        scale = np.where(degenerate, 1.0, norms)
+        b = b / scale
+        set_field = object.__setattr__
+        set_field(self, "target", target)
+        set_field(self, "rows", rows)
+        set_field(self, "box", None if box is None else (lo, hi))
+        set_field(self, "_G", G / scale[:, None])
+        set_field(self, "_b", b)
+        set_field(self, "_tol", FEAS_TOL * (1.0 + np.abs(b)))
+        set_field(self, "_degenerate", degenerate)
 
 
 @dataclass(frozen=True)
@@ -113,16 +154,9 @@ class QpSolution:
     phase1_slack: float = field(default=float("nan"))
 
 
-def _internal_rows(problem: QpProblem):
-    """Normalized row matrix and bounds, box bounds appended as rows."""
-    return problem._G, problem._b
-
-
-def _feas_margin(G: np.ndarray, b: np.ndarray, u: np.ndarray) -> float:
+def _feas_margin(problem: QpProblem, u: np.ndarray) -> float:
     """Most-violated row margin (negative means infeasible) with mixed tolerance."""
-    if G.shape[0] == 0:
-        return 0.0
-    return float(np.min(G @ u - b + FEAS_TOL * (1.0 + np.abs(b))))
+    return float((problem._G @ u - problem._b + problem._tol).min())
 
 
 def _eqp(G: np.ndarray, b: np.ndarray, u0: np.ndarray, work: list):
@@ -159,31 +193,36 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
     u0 = problem.target
 
     # Rows with ~zero coefficients are vacuous or certify infeasibility outright.
-    if np.any(problem._degenerate) and np.any(b[problem._degenerate] > FEAS_TOL):
-        return QpSolution(
-            status="infeasible", u=None,
-            phase1_slack=float(np.max(b[problem._degenerate])),
-        )
+    degenerate = problem._degenerate
+    if degenerate.any():
+        b_deg = b[degenerate]
+        if (b_deg > FEAS_TOL).any():
+            return QpSolution(status="infeasible", u=None, phase1_slack=float(b_deg.max()))
 
     # Fast path: if the box-clipped target satisfies every row it is already
     # the projection (the box projection lower-bounds any subset's), which is
-    # the typical no-conflict control tick.
+    # the typical no-conflict control tick.  The clip and the active box
+    # bounds are taken in one float pass (same comparisons as np.clip).
+    active = []
     if problem.box is not None:
-        uc = np.clip(u0, problem.box[0], problem.box[1])
+        n_user = len(problem.rows)
+        dim = problem.dim
+        clipped = u0.tolist()
+        for i, (ui, lo, hi) in enumerate(zip(clipped, *(bound.tolist() for bound in problem.box))):
+            if ui < lo:
+                active.append(n_user + i)
+            elif ui > hi:
+                active.append(n_user + dim + i)
+            ui = ui if ui > lo else lo
+            clipped[i] = ui if ui < hi else hi
+        uc = np.array(clipped)
     else:
         uc = u0
-    slack = G @ uc - b if m else np.zeros(0)
-    if m == 0 or np.min(slack + FEAS_TOL * (1.0 + np.abs(b))) >= 0.0:
-        active = []
-        if problem.box is not None:
-            n_user = len(problem.rows)
-            lo, hi = problem.box
-            for i in range(problem.dim):
-                if u0[i] < lo[i]:
-                    active.append(n_user + i)
-                elif u0[i] > hi[i]:
-                    active.append(n_user + problem.dim + i)
-        primal = float(max(0.0, -np.min(slack, initial=-0.0)))
+    if m == 0:
+        return QpSolution(status="optimal", u=uc, active_set=tuple(active), kkt_residual=0.0)
+    slack = G @ uc - b
+    if (slack + problem._tol).min() >= 0.0:
+        primal = float(max(0.0, -slack.min(initial=-0.0)))
         return QpSolution(
             status="optimal", u=uc, active_set=tuple(active),
             kkt_residual=primal, iterations=0,
@@ -192,50 +231,56 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
     phase1_slack = float("nan")
     u = None
     work: list = []
+    start = None  # projection onto the starting working set, reused by iteration 1
 
     if warm_start:
         cand = [int(r) for r in warm_start if 0 <= int(r) < m]
         if cand:
-            x, _ = _eqp(G, b, u0, cand)
-            if _feas_margin(G, b, x) >= 0.0:
-                u, work = x, list(cand)
+            start = _eqp(G, b, u0, cand)
+            if _feas_margin(problem, start[0]) >= 0.0:
+                u, work = start[0], list(cand)
     if u is None:
         # project onto the most violated rows before paying for the LP
-        order = np.argsort(slack)
-        cand = [int(r) for r in order[: problem.dim] if slack[r] < 0.0]
+        order = np.argsort(slack)[: problem.dim].tolist()
+        slack_list = slack.tolist()
+        cand = [r for r in order if slack_list[r] < 0.0]
         if cand:
-            x, _ = _eqp(G, b, u0, cand)
-            if _feas_margin(G, b, x) >= 0.0:
-                u, work = x, cand
+            start = _eqp(G, b, u0, cand)
+            if _feas_margin(problem, start[0]) >= 0.0:
+                u, work = start[0], cand
     if u is None:
+        start = None
         x, phase1_slack = _phase1(G, b, problem.dim)
         if phase1_slack > PHASE1_TOL:
             return QpSolution(status="infeasible", u=None, phase1_slack=phase1_slack)
         u = x
 
+    b_list = b.tolist()
     lam = np.zeros(0)
     iterations = 0
     optimal = False
     for iterations in range(1, MAX_ITER + 1):
-        x, lam = _eqp(G, b, u0, work)
+        if start is None:
+            x, lam = _eqp(G, b, u0, work)
+        else:  # work is still the starting set: its projection is known
+            (x, lam), start = start, None
         d = x - u
-        if np.max(np.abs(d), initial=0.0) <= 1e-11 * (1.0 + np.max(np.abs(u))):
-            if lam.size == 0 or np.min(lam) >= -DUAL_TOL:
+        if np.abs(d).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(u).max()):
+            if lam.size == 0 or lam.min() >= -DUAL_TOL:
                 u = x
                 optimal = True
                 break
             # drop the most negative multiplier; ties to the lowest row index
-            worst = np.min(lam)
-            drop = min(k for k in range(len(work)) if lam[k] <= worst + 1e-15)
+            limit = lam.min() + 1e-15
+            drop = min(k for k, lk in enumerate(lam.tolist()) if lk <= limit)
             work.pop(drop)
             continue
-        gd = G @ d
         t = 1.0
         blocker = -1
-        for r in range(m):
-            if r in work or gd[r] >= -_STEP_EPS:
+        for r, gd_r in enumerate((G @ d).tolist()):
+            if gd_r >= -_STEP_EPS or r in work:
                 continue
-            tr = (b[r] - G[r] @ u) / gd[r]
+            tr = (b_list[r] - G[r] @ u) / gd_r
             if tr < 0.0:
                 tr = 0.0
             if tr < t - 1e-15:
@@ -263,13 +308,13 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
     lam_sorted = lam[order] if lam.size else lam
     if active:
         Ga = G[list(active)]
-        stationarity = float(np.max(np.abs(u - u0 - Ga.T @ lam_sorted)))
-        dual = float(max(0.0, -np.min(lam_sorted)))
-        comp = float(np.max(np.abs(lam_sorted * (Ga @ u - b[list(active)]))))
+        stationarity = float(np.abs(u - u0 - Ga.T @ lam_sorted).max())
+        dual = float(max(0.0, -lam_sorted.min()))
+        comp = float(np.abs(lam_sorted * (Ga @ u - b[list(active)])).max())
     else:
-        stationarity = float(np.max(np.abs(u - u0), initial=0.0))
+        stationarity = float(np.abs(u - u0).max(initial=0.0))
         dual = comp = 0.0
-    primal = float(max(0.0, np.max(b - G @ u))) if m else 0.0
+    primal = float(max(0.0, (b - G @ u).max()))
     return QpSolution(
         status="optimal",
         u=u,
@@ -300,5 +345,6 @@ def _kkt_residual(G, b, u0, u, active) -> float:
 
 def verify_kkt(problem: QpProblem, u, active_set=()) -> float:
     """Max KKT violation (stationarity, primal, dual, complementarity) at u."""
-    G, b = _internal_rows(problem)
-    return _kkt_residual(G, b, problem.target, np.asarray(u, dtype=float), tuple(active_set))
+    return _kkt_residual(
+        problem._G, problem._b, problem.target, np.asarray(u, dtype=float), tuple(active_set)
+    )

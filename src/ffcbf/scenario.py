@@ -210,32 +210,44 @@ class _SpeedProfile:
 
 
 class _StraightRef:
+    """Constant-speed reference along a lane centerline.
+
+    Evaluated on every tick, so it computes in floats, with the operations
+    of the array form start + direction * (speed * t).
+    """
+
     def __init__(self, start: np.ndarray, direction: np.ndarray, speed: float):
-        self._start = start
-        self._dir = direction
+        self._start = start.tolist()
+        self._dir = direction.tolist()
         self._speed = speed
 
     def __call__(self, t: float) -> NominalTarget:
-        p = self._start + self._dir * (self._speed * t)
-        v = self._dir * self._speed
-        return NominalTarget(np.array([p[0], p[1], v[0], v[1]]))
+        (sx, sy), (dx, dy), speed = self._start, self._dir, self._speed
+        st = speed * t
+        return NominalTarget._trusted(sx + dx * st, sy + dy * st, dx * speed, dy * speed)
 
 
 class _TurnRef:
-    """Lane -> quarter-circle left-turn arc -> exit lane reference."""
+    """Lane -> quarter-circle left-turn arc -> exit lane reference.
+
+    Geometry is set up once with arrays; each evaluation computes in floats,
+    with the operations of the array form.
+    """
 
     def __init__(self, lane: Lane, d_i: float, speed: float, radius: float,
                  arc_speed: float, ramp: float):
-        self._lane = lane
-        self._start = lane.entry - lane.direction * d_i
-        self._center = lane.entry + lane.normal * radius
+        start = lane.entry - lane.direction * d_i
+        center = lane.entry + lane.normal * radius
+        self._start = start.tolist()
+        self._dir = lane.direction.tolist()
+        self._center = center.tolist()
         self._radius = radius
-        self._theta0 = math.atan2(lane.entry[1] - self._center[1],
-                                  lane.entry[0] - self._center[0])
+        self._theta0 = math.atan2(lane.entry[1] - center[1], lane.entry[0] - center[0])
         self._approach = d_i
         self._arc_len = radius * math.pi / 2.0
-        self._exit_dir = _rot90(lane.direction)
-        self._exit_point = self._center + _rot90(lane.entry - self._center)
+        self._arc_end = d_i + self._arc_len
+        self._exit_dir = _rot90(lane.direction).tolist()
+        self._exit_point = (center + _rot90(lane.entry - center)).tolist()
         self._profile = _SpeedProfile.turn(
             speed, min(speed, arc_speed), ramp, d_i, self._arc_len
         )
@@ -243,17 +255,17 @@ class _TurnRef:
     def __call__(self, t: float) -> NominalTarget:
         sigma, spd = self._profile(t)
         if sigma <= self._approach:
-            p = self._start + self._lane.direction * sigma
-            tan = self._lane.direction
-        elif sigma <= self._approach + self._arc_len:
+            (sx, sy), (dx, dy) = self._start, self._dir
+            return NominalTarget._trusted(sx + dx * sigma, sy + dy * sigma, dx * spd, dy * spd)
+        if sigma <= self._arc_end:
             theta = self._theta0 + (sigma - self._approach) / self._radius
             c, s = math.cos(theta), math.sin(theta)
-            p = self._center + self._radius * np.array([c, s])
-            tan = np.array([-s, c])
-        else:
-            p = self._exit_point + self._exit_dir * (sigma - self._approach - self._arc_len)
-            tan = self._exit_dir
-        return NominalTarget(np.array([p[0], p[1], tan[0] * spd, tan[1] * spd]))
+            cx, cy = self._center
+            r = self._radius
+            return NominalTarget._trusted(cx + r * c, cy + r * s, -s * spd, c * spd)
+        (ex, ey), (dx, dy) = self._exit_point, self._exit_dir
+        run = sigma - self._approach - self._arc_len
+        return NominalTarget._trusted(ex + dx * run, ey + dy * run, dx * spd, dy * spd)
 
 
 class World:
@@ -275,6 +287,11 @@ class World:
         )
         self.turn_radius = b + half
         self.turn_vehicle = 0 if config.scenario == "one_left_turn" else None
+        # is_exited runs for every vehicle on every tick: keep its frames as floats.
+        self._exit_frames = tuple(
+            (*point.tolist(), *direction.tolist())
+            for point, direction in map(self.exit_frame, range(len(self.lanes)))
+        )
 
     def reference(self, index: int, d_i: float, s_i: float):
         """Time-parameterized NominalTarget generator for one vehicle."""
@@ -294,10 +311,10 @@ class World:
 
     def is_exited(self, index: int, state: VehicleState) -> bool:
         """Past the intersection box and within the exit-lane lateral band."""
-        point, direction = self.exit_frame(index)
-        p = np.array([state.x, state.y]) - point
-        along = p[0] * direction[0] + p[1] * direction[1]
-        lateral = abs(-p[0] * direction[1] + p[1] * direction[0])
+        x0, y0, dx, dy = self._exit_frames[index]
+        px, py = state.x - x0, state.y - y0
+        along = px * dx + py * dy
+        lateral = abs(-px * dy + py * dx)
         return along >= 0.0 and lateral <= self.config.exit_lateral_tol
 
 
@@ -465,8 +482,13 @@ def run_trial(config: ScenarioConfig, trial_index: int,
     t = 0.0
     completion_time = None
     max_steps = int(round(config.t_max / dt))
+    t_end = config.t_max - 1e-12
+    deadlock_end = config.deadlock_window - 1e-12
+    R, stop_speed = config.R, config.stop_speed
+    centralized = ctrl.mode == "centralized"
+    vehicles = range(n)
     for _ in range(max_steps + 1):
-        for i in range(n):
+        for i in vehicles:
             if not exited[i] and world.is_exited(i, states[i]):
                 exited[i] = True
                 exit_time[i] = t
@@ -474,23 +496,23 @@ def run_trial(config: ScenarioConfig, trial_index: int,
             success = True
             completion_time = max(exit_time)
             break
-        if t >= config.t_max - 1e-12:
+        if t >= t_end:
             break
 
-        h0_now = [h0(states[i], states[j], config.R) for i, j in pairs]
+        h0_now = [h0(states[i], states[j], R) for i, j in pairs]
         if h0_now:
             min_h0 = min(min_h0, min(h0_now))
 
-        if all(exited[i] or states[i].v < config.stop_speed for i in range(n)):
+        if all(exited[i] or states[i].v < stop_speed for i in vehicles):
             stopped_run += 1
-            if (stopped_run - 1) * dt >= config.deadlock_window - 1e-12:
+            if (stopped_run - 1) * dt >= deadlock_end:
                 deadlock = True
                 break
         else:
             stopped_run = 0
 
-        targets = [refs[i](t) for i in range(n)]
-        if ctrl.mode == "centralized":
+        targets = [ref(t) for ref in refs]
+        if centralized:
             res = centralized_step(states, targets, ctrl, warm_central)
             warm_central = res.active_set or None
             inputs = res.inputs
@@ -498,7 +520,7 @@ def run_trial(config: ScenarioConfig, trial_index: int,
         else:
             inputs = []
             feasible = True
-            for i in range(n):
+            for i in vehicles:
                 res = decentralized_step(i, states, targets[i], ctrl, warm_decentral[i])
                 warm_decentral[i] = res.active_set or None
                 inputs.append(res.inputs[0])
@@ -514,7 +536,7 @@ def run_trial(config: ScenarioConfig, trial_index: int,
                            for i, j in pairs])
             log[4].append((h0_now, feasible))
 
-        states = [step(states[i], inputs[i], params, dt) for i in range(n)]
+        states = [step(st, u, params, dt) for st, u in zip(states, inputs)]
         t += dt
 
     timeout = not success and not deadlock

@@ -45,6 +45,12 @@ class TestConfigDocuments:
         with pytest.raises(ScenarioError):
             config_from_dict(data)
 
+    def test_bad_value_is_scenario_error(self):
+        with pytest.raises(ScenarioError, match="invalid FfParams"):
+            config_from_dict({"barrier": {"k": 0.5}})
+        with pytest.raises(ScenarioError, match="unknown cbf_kind"):
+            config_from_dict({"controller": {"cbf_kind": "nope"}})
+
     def test_partial_dict_uses_defaults(self):
         cfg = config_from_dict({"seed": 9, "controller": {"cbf_kind": "zero"}})
         assert cfg.seed == 9
@@ -73,6 +79,20 @@ class TestCmdRun:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "nope.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"barrier": {"k": 0.5}}, "invalid FfParams"),
+        ({"controller": {"cbf_kind": "nope"}}, "unknown cbf_kind"),
+    ])
+    def test_bad_config_value_is_error(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["run", "--config", str(path), "--trials", "1",
+                   "--out", str(tmp_path / "o"), "--workers", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
     def test_zero_trials_is_error(self, tmp_path):
         config = small_config_file(tmp_path)

@@ -158,3 +158,76 @@ class TestPlanarKinematics:
 def test_params_validation():
     with pytest.raises(ValueError):
         VehicleParams(lr=0.0)
+
+
+def rk4_reference(state, inp, params, dt):
+    """Stage-by-stage RK4 over the full 5-vector, the textbook form."""
+    def deriv(z):
+        _, _, psi, beta, v = z
+        if not abs(beta) < math.pi / 2:
+            raise ValueError("slip angle outside (-pi/2, pi/2)")
+        c, s, tb = math.cos(psi), math.sin(psi), math.tan(beta)
+        return (v * (c - s * tb), v * (s + c * tb), (v / params.lr) * tb, inp.omega, inp.a)
+
+    z0 = (state.x, state.y, state.psi, state.beta, state.v)
+    k1 = deriv(z0)
+    k2 = deriv(tuple(z0[i] + 0.5 * dt * k1[i] for i in range(5)))
+    k3 = deriv(tuple(z0[i] + 0.5 * dt * k2[i] for i in range(5)))
+    k4 = deriv(tuple(z0[i] + dt * k3[i] for i in range(5)))
+    return tuple(z0[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+                 for i in range(5))
+
+
+def hexes(values):
+    return [float(x).hex() for x in values]
+
+
+def random_states(seed, n):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield VehicleState(*rng.uniform(-20, 20, 2), rng.uniform(-4, 4),
+                           rng.uniform(-1.4, 1.4), rng.uniform(-1, 12))
+
+
+class TestTrigCache:
+    def test_matches_direct_formulas_bit_for_bit(self):
+        for st in random_states(3, 300):
+            c, s, tb = math.cos(st.psi), math.sin(st.psi), math.tan(st.beta)
+            sec2 = 1.0 + tb * tb
+            direct = (st.v * (c - s * tb), st.v * (s + c * tb), tb, c - s * tb,
+                      s + c * tb, -st.v * s * sec2, st.v * c * sec2)
+            assert hexes(st.trig) == hexes(direct)
+
+    def test_computed_once_and_outside_eq_and_hash(self):
+        a = VehicleState(1.0, 2.0, 0.3, 0.1, 4.0)
+        b = VehicleState(1.0, 2.0, 0.3, 0.1, 4.0)
+        assert a.trig is a.trig
+        assert a == b and hash(a) == hash(b)
+
+    def test_readers_agree_with_the_cache(self):
+        for st in random_states(4, 50):
+            xd, yd, tb, sax, say, swx, swy = st.trig
+            assert planar_velocity(st) == (xd, yd)
+            pk = planar_kinematics(st, PARAMS)
+            assert pk.coupling.tolist() == [[swx, sax], [swy, say]]
+            d = bicycle_derivative(st, ControlInput(0.2, -0.3), PARAMS)
+            assert d.tolist() == [xd, yd, (st.v / PARAMS.lr) * tb, 0.2, -0.3]
+
+
+class TestStepBits:
+    def test_matches_rk4_reference_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        for st in random_states(5, 300):
+            u = ControlInput(rng.uniform(-1.6, 1.6), rng.uniform(-10, 10))
+            dt = float(rng.choice([0.01, 0.02, 1e-3]))
+            got = step(st, u, PARAMS, dt)
+            want = rk4_reference(st, u, PARAMS, dt)
+            assert hexes(got.as_array()) == hexes(want)
+
+    def test_slip_checked_at_every_stage(self):
+        # beta starts inside the domain; the half-step stage leaves it
+        st = VehicleState(0, 0, 0, 1.5, 3.0)
+        with pytest.raises(ValueError):
+            step(st, ControlInput(20.0, 0.0), PARAMS, 0.01)
+        with pytest.raises(ValueError):
+            rk4_reference(st, ControlInput(20.0, 0.0), PARAMS, 0.01)

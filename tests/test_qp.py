@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ffcbf
+from ffcbf import qp
 from ffcbf.qp import QpProblem, QpSolution, solve, verify_kkt
 
 
@@ -191,3 +196,130 @@ class TestVerifyKkt:
     def test_unconstrained_zero_residual(self):
         prob = QpProblem(dim=3, target=[1.0, 2.0, 3.0])
         assert verify_kkt(prob, [1.0, 2.0, 3.0]) == 0.0
+
+
+def per_row_reference(dim, rows, box):
+    """(_G, _b, _degenerate) built row by row, the way the constructor once did."""
+    rows = [(np.asarray(c, dtype=float), float(lb)) for c, lb in rows]
+    n_user = len(rows)
+    m = n_user + (2 * dim if box is not None else 0)
+    G = np.zeros((m, dim))
+    b = np.zeros(m)
+    for r, (c, lb) in enumerate(rows):
+        G[r] = c
+        b[r] = lb
+    if box is not None:
+        lo, hi = (np.asarray(bound, dtype=float) for bound in box)
+        idx = np.arange(dim)
+        G[n_user + idx, idx] = 1.0
+        b[n_user + idx] = lo
+        G[n_user + dim + idx, idx] = -1.0
+        b[n_user + dim + idx] = -hi
+    norms = np.linalg.norm(G, axis=1)
+    scale = np.where(norms > 1e-13, norms, 1.0)
+    return G / scale[:, None], b / scale, norms <= 1e-13
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestConstructorBits:
+    """The stacked constructor reproduces the row-by-row one byte for byte."""
+
+    def check(self, dim, rows, box, target=None):
+        target = np.zeros(dim) if target is None else target
+        prob = QpProblem(dim=dim, target=target, rows=rows, box=box)
+        for got, want in zip((prob._G, prob._b, prob._degenerate),
+                             per_row_reference(dim, rows, box)):
+            assert_same_bytes(got, want)
+        assert_same_bytes(prob.target, np.asarray(target, dtype=float))
+        return prob
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 11])
+    def test_random_problems(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(150):
+            rows = []
+            for _ in range(int(rng.integers(0, 16))):
+                c = rng.normal(0, 2, dim)
+                kind = rng.random()
+                if kind < 0.15:
+                    c[:] = 0.0                       # zero row
+                elif kind < 0.25:
+                    c *= 1e-15                       # degenerate, below the norm floor
+                elif kind < 0.45:
+                    c[rng.random(dim) < 0.5] = 0.0   # sparse, like the pair rows
+                rows.append((c.tolist() if rng.random() < 0.5 else c, rng.normal(0, 3)))
+            box = None
+            if rng.random() < 0.7:
+                lo = rng.uniform(-9, 0, dim)
+                box = (lo, lo + rng.uniform(0, 9, dim))
+                if rng.random() < 0.5:
+                    box = (box[0].tolist(), box[1].tolist())
+            self.check(dim, rows, box, rng.normal(0, 3, dim))
+
+    def test_no_rows(self):
+        prob = self.check(3, (), None)
+        assert prob._G.shape == (0, 3)
+        self.check(3, [], ([-1.0] * 3, [1.0] * 3))
+
+    def test_box_block_has_positive_zeros(self):
+        prob = self.check(5, [], (np.full(5, -2.0), np.full(5, 2.0)))
+        assert not np.signbit(prob._G[prob._G == 0.0]).any()
+
+    def test_zero_and_degenerate_rows(self):
+        rows = [([0.0, 0.0], 1.0), ([1e-15, -1e-15], -2.0), ([3.0, 4.0], 1.0)]
+        prob = self.check(2, rows, None)
+        assert prob._degenerate.tolist() == [True, True, False]
+
+    def test_large_finite_values_accepted(self):
+        # the row norm overflows to inf; the exact check finds every input finite
+        with np.errstate(over="ignore"):
+            self.check(2, [([1e200, 1e200], 0.0), ([1.0, 0.0], 1e300)], None)
+
+
+class TestConstructorErrors:
+    @pytest.mark.parametrize("kwargs", [
+        dict(dim=0, target=[]),
+        dict(dim=2, target=[0.0]),
+        dict(dim=2, target=[0.0, 0.0], rows=(([1.0, 2.0], 0.0), ([1.0], 0.0))),   # ragged
+        dict(dim=2, target=[0.0, 0.0], rows=(([1.0, 2.0, 3.0], 0.0),)),          # too long
+        dict(dim=1, target=[0.0], rows=((1.0, 0.0),)),                            # scalar row
+        dict(dim=2, target=[0.0, 0.0], rows=(([1.0, float("inf")], 0.0),)),
+        dict(dim=2, target=[0.0, 0.0], rows=(([1.0, 1.0], float("nan")),)),
+        dict(dim=1, target=[float("nan")]),
+        dict(dim=1, target=[float("inf")], rows=(([1.0], 0.0),)),
+        dict(dim=1, target=[0.0], box=([float("-inf")], [1.0])),
+        dict(dim=1, target=[0.0], box=([0.0], [float("nan")])),
+        dict(dim=2, target=[0.0, 0.0], box=([0.0], [1.0, 1.0])),                  # box shape
+        dict(dim=2, target=[0.0, 0.0], box=([0.0, 2.0], [1.0, 1.0])),             # lo > hi
+    ])
+    def test_raises_value_error(self, kwargs):
+        with pytest.raises(ValueError):
+            QpProblem(**kwargs)
+
+
+class TestLazyScipy:
+    def test_import_leaves_scipy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ffcbf.__file__)))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import ffcbf; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
+
+    def test_phase1_calls_the_module_attribute(self, monkeypatch):
+        calls = []
+        real = qp.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qp, "linprog", counting)
+        prob = QpProblem(dim=2, target=[3.0, 0.0],
+                         rows=(([1.0, 0.0], 5.0), ([-1.0, 0.0], -4.0)))
+        assert solve(prob).status == "infeasible"
+        assert calls

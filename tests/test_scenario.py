@@ -84,6 +84,60 @@ class TestWorldGeometry:
             default_config(num_vehicles=5)
 
 
+class TestFloatGeometryBits:
+    """References and exit checks in floats equal their array forms bit for bit."""
+
+    @staticmethod
+    def turn_array_form(world, lane, d_i, speed, t):
+        ref = world.reference(0, d_i, speed)
+        sigma, spd = ref._profile(t)
+        radius = world.turn_radius
+        start = lane.entry - lane.direction * d_i
+        center = lane.entry + lane.normal * radius
+        theta0 = math.atan2(lane.entry[1] - center[1], lane.entry[0] - center[0])
+        arc_len = radius * math.pi / 2.0
+        exit_dir = np.array([-lane.direction[1], lane.direction[0]])
+        rel = lane.entry - center
+        exit_point = center + np.array([-rel[1], rel[0]])
+        if sigma <= d_i:
+            p, tan = start + lane.direction * sigma, lane.direction
+        elif sigma <= d_i + arc_len:
+            theta = theta0 + (sigma - d_i) / radius
+            c, s = math.cos(theta), math.sin(theta)
+            p, tan = center + radius * np.array([c, s]), np.array([-s, c])
+        else:
+            p, tan = exit_point + exit_dir * (sigma - d_i - arc_len), exit_dir
+        return np.array([p[0], p[1], tan[0] * spd, tan[1] * spd])
+
+    def test_references(self):
+        world = build_world(default_config(scenario="one_left_turn"))
+        for index, lane in enumerate(world.lanes):
+            for d_i, speed in ((9.3, 6.1), (14.0, 3.2)):
+                ref = world.reference(index, d_i, speed)
+                start = lane.entry - lane.direction * d_i
+                for t in np.linspace(0.0, 8.0, 161).tolist():
+                    got = ref(t).q_star
+                    if index == world.turn_vehicle:
+                        want = self.turn_array_form(world, lane, d_i, speed, t)
+                    else:
+                        p = start + lane.direction * (speed * t)
+                        v = lane.direction * speed
+                        want = np.array([p[0], p[1], v[0], v[1]])
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_exit_checks(self):
+        world = build_world(default_config(scenario="one_left_turn"))
+        rng = np.random.default_rng(2)
+        for index in range(4):
+            point, direction = world.exit_frame(index)
+            for x, y in rng.uniform(-12, 12, (200, 2)):
+                p = np.array([x, y]) - point
+                along = p[0] * direction[0] + p[1] * direction[1]
+                lateral = abs(-p[0] * direction[1] + p[1] * direction[0])
+                want = along >= 0.0 and lateral <= world.config.exit_lateral_tol
+                assert world.is_exited(index, VehicleState(x, y, 0.0, 0.0, 1.0)) == want
+
+
 class TestRandomizeInitial:
     def test_degenerate_uniform(self):
         cfg = default_config(delta_d=0.0, delta_s=0.0)
