@@ -11,8 +11,9 @@ the result is invariant to row scaling.
 The box-clipped target is returned as is when it satisfies every row (the
 common control tick).  Otherwise a feasible starting point is taken from (in
 order) the warm-started working set, the projection onto the most violated
-rows, or a phase-1 minimum-slack LP (HiGHS via scipy, imported on first use);
-the problem is declared infeasible when the minimum slack exceeds 1e-7.
+rows, or a phase-1 minimum-slack LP, solved by the dense simplex in
+linprog(); the problem is declared infeasible when the minimum slack exceeds
+1e-7.  The package needs only numpy at run time.
 
 Problems here are tiny (a handful of variables, tens of rows), and one is
 built and solved on every control tick, so the fixed cost of each numpy call
@@ -35,19 +36,76 @@ FEAS_TOL = 1e-8        # row feasibility, absolute + relative in the bound
 DUAL_TOL = 1e-9        # multipliers may be this negative at the optimum
 PHASE1_TOL = 1e-7      # min slack above this means infeasible
 MAX_ITER = 200
+LP_MAX_PIVOTS = 500    # phase-1 simplex pivots before RuntimeError
 _STEP_EPS = 1e-12
 _NORM_EPS = 1e-13
+_LP_COST_TOL = 1e-11   # reduced costs above -this are optimal
+_LP_PIVOT_TOL = 1e-11  # smallest pivot element
+_LP_TIE_RTOL = 1e-12   # relative tolerance of ratio-test ties
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first phase-1 solve.
+def linprog(G: np.ndarray, b: np.ndarray):
+    """Phase-1 minimum-slack LP: min s s.t. G u + s >= b, s >= 0.  Returns (u, s).
 
-    Importing SciPy takes most of the time of ``import ffcbf``, and most
-    control ticks never need the LP.
+    A dense tableau simplex in standard form over x = (u+, u-, s, e) >= 0 with
+    G u+ - G u- + s - e = b (u = u+ - u-, one surplus e per row).  The
+    starting basis, s in the most violated row and the surplus of every other
+    row, is feasible by construction, so no artificial phase is needed.
+    Entering and leaving variables follow Bland's lowest-index rule, which
+    cannot cycle on degenerate vertices.  The returned s is the largest row
+    violation at the returned u.
     """
-    from scipy.optimize import linprog as scipy_linprog
+    m, dim = G.shape
+    if m == 0 or b.max() <= 0.0:  # u = 0 satisfies every row
+        return np.zeros(dim), 0.0
+    s_col, n = 2 * dim, 2 * dim + 1 + m
+    # Rows negated so that the surpluses form a basis (infeasible where b > 0);
+    # one pivot then puts s in the most violated row and makes it feasible.
+    # The last row holds the reduced costs of min s, then minus its value.
+    T = np.zeros((m + 1, n + 1))
+    T[:m, :dim] = -G
+    T[:m, dim:s_col] = G
+    T[:m, s_col] = -1.0
+    T[:m, s_col + 1:n] = np.eye(m)
+    T[:m, n] = -b
+    T[m, s_col] = 1.0
+    basis = np.arange(s_col + 1, n)
+    _pivot(T, basis, int(b.argmax()), s_col)
+    _simplex(T, basis)
+    x = np.zeros(n)
+    x[basis] = T[:m, n]
+    u = x[:dim] - x[dim:s_col]
+    return u, max(0.0, float((b - G @ u).max()))
 
-    return scipy_linprog(*args, **kwargs)
+
+def _simplex(T: np.ndarray, basis: np.ndarray) -> None:
+    """Pivot the tableau T (constraint rows, then the reduced-cost row; the
+    right-hand side last) from a feasible basis to an optimum, in place, by
+    Bland's rule.  Raises RuntimeError after LP_MAX_PIVOTS pivots."""
+    m, n = basis.size, T.shape[1] - 1
+    for pivots in range(LP_MAX_PIVOTS + 1):
+        entering = (T[m, :n] < -_LP_COST_TOL).nonzero()[0]
+        if entering.size == 0:
+            return
+        if pivots == LP_MAX_PIVOTS:
+            raise RuntimeError(f"phase-1 LP failed: no optimum after {pivots} pivots")
+        j = entering[0]
+        col = T[:m, j]
+        rows = (col > _LP_PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:  # min s is bounded below by 0: only roundoff gets here
+            raise RuntimeError("phase-1 LP failed: unbounded direction")
+        ratios = T[rows, n] / col[rows]
+        ties = rows[ratios <= ratios.min() * (1.0 + _LP_TIE_RTOL)]
+        _pivot(T, basis, ties[basis[ties].argmin()], j)
+
+
+def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
+    """Gauss-Jordan pivot on T[r, j]: variable j enters the basis in row r."""
+    pivot_row = T[r] / T[r, j]
+    T -= T[:, j, None] * pivot_row
+    T[r] = pivot_row
+    basis[r] = j
+    np.maximum(T[:-1, -1], 0.0, out=T[:-1, -1])  # clamp roundoff below zero
 
 
 @functools.cache
@@ -173,19 +231,6 @@ def _eqp(G: np.ndarray, b: np.ndarray, u0: np.ndarray, work: list):
     return u0 + Gw.T @ lam, lam
 
 
-def _phase1(G: np.ndarray, b: np.ndarray, dim: int):
-    """Minimum-slack LP: min s s.t. G u + s >= b, s >= 0. Returns (u, slack)."""
-    m = G.shape[0]
-    c = np.zeros(dim + 1)
-    c[-1] = 1.0
-    a_ub = np.hstack([-G, -np.ones((m, 1))])
-    bounds = [(None, None)] * dim + [(0.0, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=-b, bounds=bounds, method="highs")
-    if not res.success:  # the LP is always feasible and bounded below by 0
-        raise RuntimeError(f"phase-1 LP failed: {res.message}")
-    return res.x[:dim], float(res.x[-1])
-
-
 def solve(problem: QpProblem, warm_start=None) -> QpSolution:
     """Solve the QP; never raises on infeasibility (reported in the status)."""
     G, b = problem._G, problem._b
@@ -250,7 +295,7 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
                 u, work = start[0], cand
     if u is None:
         start = None
-        x, phase1_slack = _phase1(G, b, problem.dim)
+        x, phase1_slack = linprog(G, b)
         if phase1_slack > PHASE1_TOL:
             return QpSolution(status="infeasible", u=None, phase1_slack=phase1_slack)
         u = x
@@ -325,8 +370,11 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
     )
 
 
-def _kkt_residual(G, b, u0, u, active) -> float:
-    act = list(active)
+def verify_kkt(problem: QpProblem, u, active_set=()) -> float:
+    """Max KKT violation (stationarity, primal, dual, complementarity) at u."""
+    G, b, u0 = problem._G, problem._b, problem.target
+    u = np.asarray(u, dtype=float)
+    act = list(active_set)
     if act:
         Ga = G[act]
         lam = np.linalg.lstsq(Ga.T, u - u0, rcond=None)[0]
@@ -341,10 +389,3 @@ def _kkt_residual(G, b, u0, u, active) -> float:
     if G.shape[0]:
         primal = float(max(0.0, np.max(b - G @ u)))
     return max(stationarity, primal, dual, comp)
-
-
-def verify_kkt(problem: QpProblem, u, active_set=()) -> float:
-    """Max KKT violation (stationarity, primal, dual, complementarity) at u."""
-    return _kkt_residual(
-        problem._G, problem._b, problem.target, np.asarray(u, dtype=float), tuple(active_set)
-    )

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -301,14 +302,43 @@ class TestConstructorErrors:
             QpProblem(**kwargs)
 
 
+def _fresh_interpreter(code, *args):
+    """stdout of ``code`` run in a new interpreter with the ffcbf sources first
+    on sys.path (sys.argv[1]); extra args follow."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ffcbf.__file__)))
+    return subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); " + code,
+                           src, *args], capture_output=True, text=True, check=True).stdout
+
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
 class TestLazyScipy:
+    """The package runs on numpy alone: SciPy is a test oracle only."""
+
     def test_import_leaves_scipy_unloaded(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ffcbf.__file__)))
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); import ffcbf; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
-                             text=True, check=True).stdout
+        out = _fresh_interpreter(f"import ffcbf; print({_SCIPY_MODULES})")
         assert out.strip() == "[]"
+
+    def test_phase1_leaves_scipy_unloaded(self):
+        code = ("from ffcbf.qp import QpProblem, solve; "
+                "sol = solve(QpProblem(dim=2, target=[3.0, 0.0], "
+                "rows=(([1.0, 0.0], 5.0), ([-1.0, 0.0], -4.0)))); "
+                f"print(sol.status, sol.phase1_slack, {_SCIPY_MODULES})")
+        status, slack, modules = _fresh_interpreter(code).split(maxsplit=2)
+        assert status == "infeasible" and float(slack) == pytest.approx(0.5)
+        assert modules.strip() == "[]"
+
+    def test_compare_run_leaves_scipy_unloaded(self, tmp_path):
+        # a centralized left-turn compare run reaches phase 1 on its infeasible ticks
+        code = ("import json; from ffcbf import cli, qp; calls = []; real = qp.linprog; "
+                "qp.linprog = lambda G, b: calls.append(1) or real(G, b); "
+                "rc = cli.main(['compare', '--mode', 'centralized', '--scenario', 'left-turn', "
+                "'--trials', '2', '--seed', '0', '--workers', '1', '--out', sys.argv[2]]); "
+                f"print(json.dumps([rc, len(calls), {_SCIPY_MODULES}]))")
+        rc, calls, modules = json.loads(_fresh_interpreter(code, str(tmp_path)).splitlines()[-1])
+        assert rc == 0 and calls > 0
+        assert modules == []
 
     def test_phase1_calls_the_module_attribute(self, monkeypatch):
         calls = []
@@ -323,3 +353,147 @@ class TestLazyScipy:
                          rows=(([1.0, 0.0], 5.0), ([-1.0, 0.0], -4.0)))
         assert solve(prob).status == "infeasible"
         assert calls
+
+
+def highs_min_slack(G, b):
+    """Oracle: the phase-1 LP through scipy's HiGHS, with tight tolerances."""
+    from scipy.optimize import linprog as highs_linprog
+
+    m, dim = G.shape
+    if m == 0:
+        return 0.0
+    c = np.zeros(dim + 1)
+    c[-1] = 1.0
+    res = highs_linprog(c, A_ub=np.hstack([-G, -np.ones((m, 1))]), b_ub=-b,
+                        bounds=[(None, None)] * dim + [(0.0, None)], method="highs",
+                        options={"primal_feasibility_tolerance": 1e-10,
+                                 "dual_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return float(res.x[-1])
+
+
+def lp_rows(dim, rows, box=None):
+    """The normalized (_G, _b) that solve() hands to the phase-1 LP."""
+    prob = QpProblem(dim=dim, target=np.zeros(dim), rows=rows, box=box)
+    return prob._G, prob._b, prob._tol
+
+
+class TestPhase1Lp:
+    """qp.linprog against HiGHS on the LP min s s.t. G u + s >= b, s >= 0.
+
+    Slacks are compared in units of the problem's scale: at |b| ~ 1e6 the
+    rounding of G u alone is ~1e-10 in absolute terms.
+    """
+
+    def check(self, G, b, tol, scale=1.0):
+        u, s = qp.linprog(G, b)
+        ref = highs_min_slack(G, b)
+        agree = 1e-9 * (scale + abs(ref))
+        assert u.shape == (G.shape[1],) and np.isfinite(u).all()
+        assert s >= 0.0
+        assert abs(s - ref) <= agree, (s, ref)
+        assert (G @ u + s - b + tol).min(initial=0.0) >= 0.0
+        if abs(ref - qp.PHASE1_TOL) > agree:
+            assert (s > qp.PHASE1_TOL) == (ref > qp.PHASE1_TOL), (s, ref)
+        return u, s
+
+    @pytest.mark.parametrize("exponent", [-6, -3, 0, 3, 6])
+    def test_random_problems(self, exponent):
+        scale = 10.0 ** exponent
+        rng = np.random.default_rng(100 + exponent)
+        for _ in range(200):
+            dim = int(rng.integers(1, 12))
+            rows = [(rng.normal(0, 1, dim) * rng.choice([1e-3, 1.0, 1e3]),
+                     rng.normal(-0.5, 2) * scale)
+                    for _ in range(int(rng.integers(0, 41)))]
+            box = None
+            if rng.random() < 0.3:
+                lo = rng.uniform(-5, 0, dim) * scale
+                box = (lo, lo + rng.uniform(0, 5, dim) * scale)
+            G, b, tol = lp_rows(dim, rows, box)
+            self.check(G, b, tol, scale)
+
+    def test_fewer_rows_than_dim_plus_one(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            dim = int(rng.integers(1, 12))
+            rows = [(rng.normal(0, 1, dim), rng.normal(1.0, 2))
+                    for _ in range(int(rng.integers(0, dim + 1)))]
+            G, b, tol = lp_rows(dim, rows)
+            self.check(G, b, tol)
+
+    def test_duplicate_zero_and_opposite_rows(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            dim = int(rng.integers(1, 8))
+            rows = []
+            for _ in range(int(rng.integers(1, 8))):
+                c, lb = rng.normal(0, 1, dim), rng.normal(1.0, 2)
+                rows += [(c, lb)] * int(rng.integers(1, 4))     # duplicates
+                if rng.random() < 0.5:
+                    rows.append((-c, -lb))                      # opposite: c.u == lb
+            if rng.random() < 0.5:
+                rows.append((np.zeros(dim), -abs(rng.normal())))   # vacuous zero row
+            order = rng.permutation(len(rows))
+            G, b, tol = lp_rows(dim, [rows[k] for k in order])
+            self.check(G, b, tol)
+
+    def test_exact_zero_slack(self):
+        # u1 == 1 and u2 == 2, each stated twice and from both sides
+        rows = [([1.0, 0.0], 1.0), ([-1.0, 0.0], -1.0), ([0.0, 2.0], 4.0),
+                ([0.0, -1.0], -2.0), ([1.0, 0.0], 1.0), ([0.0, -3.0], -6.0)]
+        G, b, tol = lp_rows(2, rows)
+        u, s = self.check(G, b, tol)
+        assert s == 0.0
+        assert u == pytest.approx([1.0, 2.0], abs=1e-12)
+
+    def test_zero_row_sets_the_slack(self):
+        G, b, tol = lp_rows(2, [([0.0, 0.0], 0.25), ([1.0, 1.0], 3.0)])
+        assert self.check(G, b, tol)[1] == pytest.approx(0.25, abs=1e-15)
+
+    def test_degenerate_vertex(self):
+        # 24 rows (each twice) tangent to the unit circle: at u = 0 the slack is
+        # 1 and every row is tight, the degenerate vertex on which pivoting
+        # rules without an anti-cycling guarantee can cycle
+        angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        rows = [([np.cos(a), np.sin(a)], 1.0) for a in angles] * 2
+        G, b, tol = lp_rows(2, rows)
+        u, s = self.check(G, b, tol)
+        assert s == pytest.approx(1.0, abs=1e-12)
+        assert u == pytest.approx([0.0, 0.0], abs=1e-12)
+
+    def test_beale_cycling_example(self):
+        """Beale's LP (1955), on which the most-negative-cost rule cycles from
+        the slack basis; Bland's rule reaches the optimum -1/20."""
+        A = np.array([[0.25, -60.0, -1 / 25, 9.0],
+                      [0.5, -90.0, -1 / 50, 3.0],
+                      [0.0, 0.0, 1.0, 0.0]])
+        rhs = np.array([0.0, 0.0, 1.0])
+        cost = np.array([-0.75, 150.0, -1 / 50, 6.0])
+        T = np.zeros((4, 8))
+        T[:3, :4] = A
+        T[:3, 4:7] = np.eye(3)
+        T[:3, 7] = rhs
+        T[3, :4] = cost
+        basis = np.arange(4, 7)
+        qp._simplex(T, basis)
+        x = np.zeros(7)
+        x[basis] = T[:3, 7]
+        assert cost @ x[:4] == pytest.approx(-0.05, abs=1e-12)
+        assert -T[3, 7] == pytest.approx(-0.05, abs=1e-12)
+        assert (A @ x[:4] <= rhs + 1e-12).all() and (x >= 0.0).all()
+
+    def test_no_rows_or_nothing_violated(self):
+        for G, b in ((np.zeros((0, 3)), np.zeros(0)),
+                     (np.eye(2), np.array([-1.0, 0.0]))):
+            u, s = qp.linprog(G, b)
+            assert s == 0.0 and u.tolist() == [0.0] * G.shape[1]
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        prob = QpProblem(dim=2, target=[3.0, 0.0],
+                         rows=(([1.0, 0.0], 5.0), ([-1.0, 0.0], -4.0)))
+        monkeypatch.setattr(qp, "LP_MAX_PIVOTS", 0)
+        with pytest.raises(RuntimeError, match="phase-1 LP failed"):
+            qp.linprog(prob._G, prob._b)
+        with pytest.raises(RuntimeError, match="phase-1 LP failed"):
+            solve(prob)
