@@ -18,8 +18,8 @@ input mapping: [xddot, yddot] = drift + S @ [omega, a], where S is the
 
 One control tick reads the bicycle trig of each state about a dozen times
 (nominal control, every pair row, the first RK4 stage), so VehicleState
-computes cos(psi), sin(psi), tan(beta), the planar velocity and S once, on
-first use, and every reader takes them from VehicleState.trig.  The RK4
+computes cos(psi), sin(psi), tan(beta), the planar velocity and S once, when
+the state is made, and every reader takes them from VehicleState.trig.  The RK4
 step is unrolled in plain float math with the same operations, in the same
 order, as the textbook stage-by-stage form.
 """
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +47,14 @@ _HALF_PI = math.pi / 2.0
 
 @dataclass(frozen=True)
 class VehicleState:
-    """Pose, slip and speed of one vehicle: z = [x, y, psi, beta, v]."""
+    """Pose, slip and speed of one vehicle: z = [x, y, psi, beta, v].
+
+    trig = (xdot, ydot, tan(beta), S01, S11, S00, S10) is computed once, when
+    the state is made.  S is the planar coupling matrix of planar_kinematics;
+    its acceleration column [S01, S11] = [cos - sin tan, sin + cos tan] is the
+    velocity direction, so (xdot, ydot) = v * (S01, S11).  The slip angle is
+    not checked here; callers that need the domain check do it themselves.
+    """
 
     x: float        # position east (m)
     y: float        # position north (m)
@@ -56,22 +62,15 @@ class VehicleState:
     beta: float     # slip angle (rad), |beta| < pi/2
     v: float        # rear-wheel speed (m/s)
 
-    @cached_property
-    def trig(self) -> tuple[float, float, float, float, float, float, float]:
-        """(xdot, ydot, tan(beta), S01, S11, S00, S10), computed once per state.
-
-        S is the planar coupling matrix of planar_kinematics; its acceleration
-        column [S01, S11] = [cos - sin tan, sin + cos tan] is the velocity
-        direction, so (xdot, ydot) = v * (S01, S11).  The slip angle is not
-        checked here; callers that need the domain check do it themselves.
-        """
+    def __post_init__(self) -> None:
         c, s = math.cos(self.psi), math.sin(self.psi)
         tb = math.tan(self.beta)
         sec2 = 1.0 + tb * tb
         v = self.v
         sax = c - s * tb
         say = s + c * tb
-        return v * sax, v * say, tb, sax, say, -v * s * sec2, v * c * sec2
+        object.__setattr__(
+            self, "trig", (v * sax, v * say, tb, sax, say, -v * s * sec2, v * c * sec2))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.psi, self.beta, self.v])

@@ -302,6 +302,57 @@ class TestRunBatch:
             run_batch(cfg, 1, log_policy="sometimes")
 
 
+# Seed-0 centralized outcomes of trials 0-2 in every cell, as the numpy
+# active-set QP solver produced them: (flags that hold, completion time,
+# min_h0).  Flags and completion times must match exactly.  min_h0 may move by
+# 1e-5 m^2: a last-bit change in one QP solution (another summation order)
+# can grow through the closed loop, while the flags have held on every trial
+# compared.
+SEED0_OUTCOMES = {
+    ("all_straight", "zero"): [
+        (("success", "always_feasible"), 7.649999999999881, 1.0400627963613749),
+        (("success", "always_feasible"), 7.449999999999886, 1.0400727496818316),
+        (("success", "always_feasible"), 5.9999999999999165, 1.0401487817044925),
+    ],
+    ("all_straight", "ff"): [
+        (("success", "always_feasible"), 6.699999999999902, 0.00035317184276628666),
+        (("success", "always_feasible"), 6.7599999999999, 1.0412873749884728),
+        (("success", "always_feasible"), 3.7699999999999636, 1.0405066921768542),
+    ],
+    ("all_straight", "rff"): [
+        (("success", "always_feasible"), 6.709999999999901, 0.00023086828006224636),
+        (("success", "always_feasible"), 6.7599999999999, 1.040697322766186),
+        (("success", "always_feasible"), 3.7699999999999636, 1.040008108070639),
+    ],
+    ("one_left_turn", "zero"): [
+        (("always_feasible", "deadlock"), None, 0.25251879404925237),
+        (("always_feasible", "deadlock"), None, 0.25258457537401124),
+        (("success", "always_feasible"), 7.129999999999892, 1.0364395398323056),
+    ],
+    ("one_left_turn", "ff"): [
+        (("success",), 7.2199999999998905, 7.684219550441185e-06),
+        (("success", "always_feasible"), 6.7599999999999, 1.0412873749884728),
+        (("success", "always_feasible"), 4.839999999999941, 1.0405066921768542),
+    ],
+    ("one_left_turn", "rff"): [
+        (("success", "always_feasible"), 6.709999999999901, 0.00023274781058812977),
+        (("success", "always_feasible"), 6.7599999999999, 1.04040105875377),
+        (("success", "always_feasible"), 4.839999999999941, 1.040008108070639),
+    ],
+}
+
+
+class TestSeed0Outcomes:
+    @pytest.mark.parametrize("scenario, kind", sorted(SEED0_OUTCOMES))
+    def test_flags_times_and_min_h0(self, scenario, kind):
+        cfg = default_config(kind, "centralized", scenario, seed=0)
+        for index, (flags, completion, min_h0) in enumerate(SEED0_OUTCOMES[scenario, kind]):
+            r = run_trial(cfg, index)
+            assert tuple(k for k, v in r.flags().items() if v) == flags, index
+            assert r.completion_time == completion, index
+            assert r.min_h0 == pytest.approx(min_h0, abs=1e-5), index
+
+
 class TestConfigValidation:
     def test_bad_scenario(self):
         with pytest.raises(ScenarioError):
