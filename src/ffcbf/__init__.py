@@ -8,14 +8,12 @@ harness for the four-way unsignaled intersection benchmark.
 from .barriers import (
     BarrierEval,
     FfParams,
-    RelativeKinematics,
     RffParams,
     constraint_row,
     h0,
     h_ff,
     h_rff,
     h_speed,
-    relative_kinematics,
     smooth_switch,
     tau_hat,
     tau_star_hat,
@@ -32,12 +30,8 @@ from .controllers import (
 )
 from .dynamics import (
     ControlInput,
-    PlanarKinematics,
     VehicleParams,
     VehicleState,
-    bicycle_derivative,
-    planar_kinematics,
-    predict_position,
     step,
 )
 from .qp import QpProblem, QpSolution, solve, verify_kkt

@@ -27,11 +27,10 @@ so its row ("zero" kind) is the second-order construction
     h_1 = h_0' + alpha_gain*h_0,   enforce  h_1' + alpha_gain*h_1 >= 0,
 which is the standard treatment for relative-degree-2 distance constraints.
 
-Scalar functions are written in plain float math (they sit on the per-tick
+All functions are written in plain float math (they sit on the per-tick
 control path) and take each vehicle's trig and planar velocity from
 VehicleState.trig, which is computed once per state however many pair rows
-read it; *_batch variants are vectorized over leading array dimensions for
-the large randomized property suites.
+read it.
 """
 
 from __future__ import annotations
@@ -39,14 +38,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dynamics import VehicleParams, VehicleState
 
 __all__ = [
     "FfParams",
     "RffParams",
-    "RelativeKinematics",
     "BarrierEval",
     "h_speed",
     "h0",
@@ -55,18 +51,17 @@ __all__ = [
     "tau_hat",
     "h_ff",
     "h_rff",
-    "relative_kinematics",
     "constraint_row",
-    "h0_batch",
-    "tau_hat_batch",
-    "ff_batch",
-    "rff_batch",
 ]
 
 
 @dataclass(frozen=True)
 class FfParams:
-    """Future-focused barrier parameters."""
+    """Future-focused barrier parameters and the vehicle safety radius R.
+
+    This R is the only copy: the barrier rows enforce a 2R separation and
+    the scenario scores h0 against the same R.
+    """
 
     tau_bar: float = 5.0      # look-ahead horizon (s)
     k: float = 1000.0         # switch sharpness; k >= 1 keeps the ordering property
@@ -92,21 +87,6 @@ class RffParams:
 
 
 @dataclass(frozen=True)
-class RelativeKinematics:
-    """Differential kinematics of a vehicle pair.
-
-    alpha (differential acceleration) is control-affine:
-        alpha = alpha_drift + alpha_coupling_i @ u_i - alpha_coupling_j @ u_j
-    """
-
-    xi: np.ndarray             # (2,) position difference
-    nu: np.ndarray             # (2,) velocity difference
-    alpha_drift: np.ndarray    # (2,) control-independent part of alpha
-    alpha_coupling_i: np.ndarray  # (2,2) S matrix of vehicle i
-    alpha_coupling_j: np.ndarray  # (2,2) S matrix of vehicle j
-
-
-@dataclass(frozen=True)
 class BarrierEval:
     """Barrier value and its QP constraint row phi + gamma_i*a_i + gamma_j*a_j >= 0.
 
@@ -120,10 +100,6 @@ class BarrierEval:
     gamma_i: float
     gamma_j: float
 
-
-# ---------------------------------------------------------------------------
-# scalar operations
-# ---------------------------------------------------------------------------
 
 def h_speed(state: VehicleState, v_max: float, alpha_gain: float = 10.0):
     """Speed barrier (v_max - v) * v with its QP row.
@@ -211,23 +187,6 @@ def _vehicle_planar(state: VehicleState, lr: float):
     xd, yd, tb, sax, say, swx, swy = state.trig
     psid = (state.v / lr) * tb
     return xd, yd, swx, swy, sax, say, -yd * psid, xd * psid
-
-
-def relative_kinematics(
-    state_i: VehicleState, state_j: VehicleState, params: VehicleParams
-) -> RelativeKinematics:
-    """Differential position/velocity and the control-affine structure of alpha."""
-    if not (abs(state_i.beta) < math.pi / 2 and abs(state_j.beta) < math.pi / 2):
-        raise ValueError("slip angle outside (-pi/2, pi/2)")
-    xdi, ydi, swxi, swyi, saxi, sayi, daxi, dayi = _vehicle_planar(state_i, params.lr)
-    xdj, ydj, swxj, swyj, saxj, sayj, daxj, dayj = _vehicle_planar(state_j, params.lr)
-    return RelativeKinematics(
-        xi=np.array([state_i.x - state_j.x, state_i.y - state_j.y]),
-        nu=np.array([xdi - xdj, ydi - ydj]),
-        alpha_drift=np.array([daxi - daxj, dayi - dayj]),
-        alpha_coupling_i=np.array([[swxi, saxi], [swyi, sayi]]),
-        alpha_coupling_j=np.array([[swxj, saxj], [swyj, sayj]]),
-    )
 
 
 def _sech2(x: float) -> float:
@@ -336,121 +295,3 @@ def constraint_row(
     return BarrierEval(
         value=value, phi=drift + alpha_gain * value, gamma_i=gamma_i, gamma_j=gamma_j
     )
-
-
-# ---------------------------------------------------------------------------
-# vectorized batch evaluation (leading dimensions broadcast)
-# ---------------------------------------------------------------------------
-
-def _planar_batch(z: np.ndarray):
-    psi, beta, v = z[..., 2], z[..., 3], z[..., 4]
-    c, s = np.cos(psi), np.sin(psi)
-    tb = np.tan(beta)
-    sec2 = 1.0 + tb * tb
-    sax = c - s * tb
-    say = s + c * tb
-    return v * sax, v * say, -v * s * sec2, v * c * sec2, sax, say
-
-
-def _sech2_batch(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    small = np.abs(x) < 300.0
-    c = np.cosh(np.where(small, x, 0.0))
-    np.divide(1.0, c * c, out=out, where=small)
-    return out
-
-
-def h0_batch(zi: np.ndarray, zj: np.ndarray, R: float) -> np.ndarray:
-    dx = zi[..., 0] - zj[..., 0]
-    dy = zi[..., 1] - zj[..., 1]
-    return dx * dx + dy * dy - 4.0 * R * R
-
-
-def _core_batch(zi: np.ndarray, zj: np.ndarray, ff: FfParams):
-    xdi, ydi, swxi, swyi, saxi, sayi = _planar_batch(zi)
-    xdj, ydj, swxj, swyj, saxj, sayj = _planar_batch(zj)
-    xi_x = zi[..., 0] - zj[..., 0]
-    xi_y = zi[..., 1] - zj[..., 1]
-    nu_x = xdi - xdj
-    nu_y = ydi - ydj
-    p = xi_x * nu_x + xi_y * nu_y
-    q = nu_x * nu_x + nu_y * nu_y
-    D = q + ff.epsilon
-    ts = -p / D
-    K0 = 0.5 + 0.5 * np.tanh(ff.k * ts)
-    Kt = 0.5 + 0.5 * np.tanh(ff.k * (ts - ff.tau_bar))
-    th = ts * K0 + (ff.tau_bar - ts) * Kt
-    per_vehicle = (
-        (ydi, xdi, swxi, swyi, saxi, sayi),
-        (ydj, xdj, swxj, swyj, saxj, sayj),
-    )
-    return xi_x, xi_y, nu_x, nu_y, p, q, D, ts, K0, Kt, th, per_vehicle
-
-
-def tau_hat_batch(zi: np.ndarray, zj: np.ndarray, ff: FfParams) -> np.ndarray:
-    """tau_hat for each pair; used by the range and ordering property suites."""
-    return _core_batch(zi, zj, ff)[10]
-
-
-def _assemble_grads(gxi_x, gxi_y, gnu_x, gnu_y, per_vehicle):
-    (ydi, xdi, swxi, swyi, saxi, sayi), (ydj, xdj, swxj, swyj, saxj, sayj) = per_vehicle
-    gi = np.stack([
-        gxi_x,
-        gxi_y,
-        gnu_x * (-ydi) + gnu_y * xdi,
-        gnu_x * swxi + gnu_y * swyi,
-        gnu_x * saxi + gnu_y * sayi,
-    ], axis=-1)
-    gj = np.stack([
-        -gxi_x,
-        -gxi_y,
-        -(gnu_x * (-ydj) + gnu_y * xdj),
-        -(gnu_x * swxj + gnu_y * swyj),
-        -(gnu_x * saxj + gnu_y * sayj),
-    ], axis=-1)
-    return gi, gj
-
-
-def ff_batch(zi: np.ndarray, zj: np.ndarray, ff: FfParams, grad: bool = False):
-    """h_ff values (and optionally gradients w.r.t. both 5-dim states)."""
-    xi_x, xi_y, nu_x, nu_y, p, q, D, ts, K0, Kt, th, per_vehicle = _core_batch(zi, zj, ff)
-    base = xi_x * xi_x + xi_y * xi_y - 4.0 * ff.R * ff.R
-    value = base + 2.0 * th * p + th * th * q
-    if not grad:
-        return value
-    G0 = 0.5 * ff.k * _sech2_batch(ff.k * ts)
-    Gt = 0.5 * ff.k * _sech2_batch(ff.k * (ts - ff.tau_bar))
-    W = (K0 - Kt) + ts * (G0 - Gt) + ff.tau_bar * Gt
-    M = p + th * q
-    mw = 2.0 * M * W
-    # dh/dxi = 2(xi + th*nu) + 2MW * dts/dxi, dts/dxi = -nu/D (same pattern for nu)
-    gxi_x = 2.0 * (xi_x + th * nu_x) + mw * (-nu_x / D)
-    gxi_y = 2.0 * (xi_y + th * nu_y) + mw * (-nu_y / D)
-    gnu_x = 2.0 * th * (xi_x + th * nu_x) + mw * (-(xi_x + 2.0 * ts * nu_x) / D)
-    gnu_y = 2.0 * th * (xi_y + th * nu_y) + mw * (-(xi_y + 2.0 * ts * nu_y) / D)
-    gi, gj = _assemble_grads(gxi_x, gxi_y, gnu_x, gnu_y, per_vehicle)
-    return value, gi, gj
-
-
-def rff_batch(zi: np.ndarray, zj: np.ndarray, rff: RffParams, grad: bool = False):
-    """H values (and optionally gradients w.r.t. both 5-dim states)."""
-    ff = rff.ff
-    xi_x, xi_y, nu_x, nu_y, p, q, D, ts, K0, Kt, th, per_vehicle = _core_batch(zi, zj, ff)
-    base = xi_x * xi_x + xi_y * xi_y - 4.0 * ff.R * ff.R
-    k0g = rff.k0_scale * np.maximum(th - 1.0, rff.k0_floor)
-    value = base + 2.0 * th * p + th * th * q + k0g * base
-    if not grad:
-        return value
-    G0 = 0.5 * ff.k * _sech2_batch(ff.k * ts)
-    Gt = 0.5 * ff.k * _sech2_batch(ff.k * (ts - ff.tau_bar))
-    W = (K0 - Kt) + ts * (G0 - Gt) + ff.tau_bar * Gt
-    M = p + th * q
-    kd = np.where(th - 1.0 > rff.k0_floor, rff.k0_scale, 0.0)
-    tw = (2.0 * M + kd * base) * W
-    one_k0 = 1.0 + k0g
-    gxi_x = 2.0 * (xi_x * one_k0 + th * nu_x) + tw * (-nu_x / D)
-    gxi_y = 2.0 * (xi_y * one_k0 + th * nu_y) + tw * (-nu_y / D)
-    gnu_x = 2.0 * th * (xi_x + th * nu_x) + tw * (-(xi_x + 2.0 * ts * nu_x) / D)
-    gnu_y = 2.0 * th * (xi_y + th * nu_y) + tw * (-(xi_y + 2.0 * ts * nu_y) / D)
-    gi, gj = _assemble_grads(gxi_x, gxi_y, gnu_x, gnu_y, per_vehicle)
-    return value, gi, gj

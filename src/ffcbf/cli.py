@@ -3,7 +3,8 @@
 Everything written here is designed to be reproducible byte-for-byte: the
 config, summary and comparison documents are canonical JSON (sorted keys,
 fixed indentation, repr-exact floats), and a run manifest records the config
-snapshot plus per-trial seed material so any batch can be re-run exactly.
+snapshot, which re-runs the batch exactly because every trial is seeded from
+(config.seed, trial index).
 Trajectory logs are one CSV per trial with floats at 9 significant digits.
 """
 
@@ -15,14 +16,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
 from . import __version__
-from .barriers import FfParams, RffParams
-from .controllers import ControllerConfig
-from .dynamics import VehicleParams
 from .scenario import (
     BatchSummary,
     ScenarioConfig,
@@ -30,7 +28,6 @@ from .scenario import (
     TrajectoryLog,
     resolve_workers,
     run_batch,
-    trial_rng,
 )
 
 __all__ = [
@@ -56,73 +53,44 @@ _SCENARIO_FLAGS = {"straight": "all_straight", "left-turn": "one_left_turn"}
 # configuration documents
 # ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = (
-    "scenario", "num_vehicles", "d0", "delta_d", "s0", "delta_s", "v_max",
-    "dt", "t_max", "seed", "lane_width", "box_half", "R", "turn_speed",
-    "ref_accel", "exit_lateral_tol", "stop_speed", "deadlock_window",
-    "max_resamples",
-)
-_CONTROLLER_KEYS = (
-    "cbf_kind", "mode", "alpha_gain", "speed_alpha", "omega_bar", "a_bar", "lqr_q_pos",
-    "lqr_q_vel", "lqr_r", "hocbf_gain", "zero_margin", "beta_max", "omega_v_ref", "v_eps", "decentral_eps",
-)
-_VEHICLE_KEYS = ("lr", "lf")
-_BARRIER_KEYS = ("tau_bar", "k", "epsilon", "k0_scale", "k0_floor")
-
-
-def config_to_dict(config: ScenarioConfig) -> dict:
-    ctrl = config.controller
-    return {
-        **{k: getattr(config, k) for k in _SCENARIO_KEYS},
-        "controller": {k: getattr(ctrl, k) for k in _CONTROLLER_KEYS},
-        "vehicle": {k: getattr(ctrl.vehicle, k) for k in _VEHICLE_KEYS},
-        "barrier": {
-            "tau_bar": ctrl.rff.ff.tau_bar, "k": ctrl.rff.ff.k,
-            "epsilon": ctrl.rff.ff.epsilon, "k0_scale": ctrl.rff.k0_scale,
-            "k0_floor": ctrl.rff.k0_floor,
-        },
-    }
-
-
-def _check_keys(section: str, data: dict, allowed) -> None:
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ScenarioError(f"unknown {section} config keys: {sorted(unknown)}")
+def config_to_dict(config) -> dict:
+    """The config dataclass tree as nested dicts, one key per settable field."""
+    data = {}
+    for f in fields(config):
+        if f.init:
+            value = getattr(config, f.name)
+            data[f.name] = config_to_dict(value) if is_dataclass(value) else value
+    return data
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    """Strict inverse of config_to_dict; unknown keys are errors."""
-    data = dict(data)
-    ctrl_d = dict(data.pop("controller", {}))
-    veh_d = dict(data.pop("vehicle", {}))
-    bar_d = dict(data.pop("barrier", {}))
-    _check_keys("scenario", data, _SCENARIO_KEYS)
-    _check_keys("controller", ctrl_d, _CONTROLLER_KEYS)
-    _check_keys("vehicle", veh_d, _VEHICLE_KEYS)
-    _check_keys("barrier", bar_d, _BARRIER_KEYS)
-    base = ScenarioConfig()
-    scen = {k: data.get(k, getattr(base, k)) for k in _SCENARIO_KEYS}
+    """Strict inverse of config_to_dict: missing keys take the dataclass
+    defaults; unknown keys and bad values are ScenarioErrors."""
+    return _from_dict(ScenarioConfig, data, "config")
+
+
+def _from_dict(cls, data, section: str):
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{section} must be a JSON object, got {data!r}")
+    base = cls()
+    unknown = set(data) - {f.name for f in fields(cls) if f.init}
+    if unknown:
+        raise ScenarioError(f"unknown {section} keys: {sorted(unknown)}")
+    kwargs = {}
+    for name, value in data.items():
+        default = getattr(base, name)
+        if is_dataclass(default):
+            value = _from_dict(type(default), value, f"{section}.{name}")
+        elif type(default) is float and type(value) is int:
+            value = float(value)
+        elif type(value) is not type(default):
+            raise ScenarioError(
+                f"{section}.{name} must be a {type(default).__name__}, got {value!r}")
+        kwargs[name] = value
     # A bad value is a configuration error, reported like an unknown key,
     # not a traceback from deep inside a parameter class.
     try:
-        R = float(scen["R"])
-        ff = FfParams(
-            tau_bar=float(bar_d.get("tau_bar", 5.0)), k=float(bar_d.get("k", 1000.0)),
-            epsilon=float(bar_d.get("epsilon", 1e-9)), R=R,
-        )
-        rff = RffParams(
-            ff=ff, k0_scale=float(bar_d.get("k0_scale", 0.1)),
-            k0_floor=float(bar_d.get("k0_floor", 0.001)),
-        )
-        vehicle = VehicleParams(
-            lr=float(veh_d.get("lr", 1.0)), lf=float(veh_d.get("lf", 1.0)), R=R
-        )
-        ctrl_base = ControllerConfig()
-        ctrl_kwargs = {k: ctrl_d.get(k, getattr(ctrl_base, k)) for k in _CONTROLLER_KEYS}
-        controller = ControllerConfig(
-            vehicle=vehicle, rff=rff, v_max=float(scen["v_max"]), **ctrl_kwargs
-        )
-        return ScenarioConfig(controller=controller, **scen)
+        return cls(**kwargs)
     except ScenarioError:
         raise
     except (TypeError, ValueError) as exc:
@@ -179,21 +147,7 @@ class RunManifest:
     started: str
     finished: str
     n_trials: int
-    trial_seeds: list
     outputs: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config, "version": self.version,
-            "started": self.started, "finished": self.finished,
-            "n_trials": self.n_trials, "trial_seeds": self.trial_seeds,
-            "outputs": self.outputs,
-        }
-
-
-def _trial_seed_material(config: ScenarioConfig, n_trials: int) -> list:
-    # Derived integers identifying each trial's RNG stream.
-    return [int(trial_rng(config, i).integers(0, 2**63)) for i in range(n_trials)]
 
 
 def write_manifest(path, config, n_trials, started, finished, outputs) -> RunManifest:
@@ -203,10 +157,9 @@ def write_manifest(path, config, n_trials, started, finished, outputs) -> RunMan
         started=started,
         finished=finished,
         n_trials=n_trials,
-        trial_seeds=_trial_seed_material(config, n_trials),
         outputs=outputs,
     )
-    _write_text(path, _canonical_json(manifest.to_dict()))
+    _write_text(path, _canonical_json(asdict(manifest)))
     return manifest
 
 

@@ -102,7 +102,8 @@ class ControllerConfig:
     decentral_eps: float = 1e-9           # subtracted from decentralized pair rows
     vehicle: VehicleParams = field(default_factory=VehicleParams)
     rff: RffParams = field(default_factory=RffParams)
-    lqr_gain: np.ndarray | None = None    # filled from the weights when left unset
+    # derived from the three LQR weights, so it is neither set nor compared
+    lqr_gain: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.cbf_kind not in ("zero", "ff", "rff"):
@@ -111,8 +112,7 @@ class ControllerConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not (self.alpha_gain > 0 and self.omega_bar > 0 and self.a_bar > 0 and self.v_max > 0):
             raise ValueError("gains and bounds must be positive")
-        if self.lqr_gain is None:
-            self.lqr_gain = lqr_gain(self.lqr_q_pos, self.lqr_q_vel, self.lqr_r)
+        self.lqr_gain = lqr_gain(self.lqr_q_pos, self.lqr_q_vel, self.lqr_r)
 
 
 def nominal_control(

@@ -11,17 +11,18 @@ State of one vehicle is z = [x, y, psi, beta, v]:
 with input u = [omega, a] (slip-angle rate, rear-wheel acceleration).
 The slip angle must satisfy |beta| < pi/2.
 
-Besides the derivative and an RK4 integrator, this module exposes the
-planar-acceleration structure needed by the barrier rows and the LQR
-input mapping: [xddot, yddot] = drift + S @ [omega, a], where S is the
-2x2 coupling matrix (invertible iff v != 0).
+Differentiating the position kinematics gives the planar acceleration
 
-One control tick reads the bicycle trig of each state about a dozen times
-(nominal control, every pair row, the first RK4 stage), so VehicleState
-computes cos(psi), sin(psi), tan(beta), the planar velocity and S once, when
-the state is made, and every reader takes them from VehicleState.trig.  The RK4
-step is unrolled in plain float math with the same operations, in the same
-order, as the textbook stage-by-stage form.
+    [xddot, yddot] = [-ydot * psidot, xdot * psidot] + S @ [omega, a],
+    S = [[-v sin(psi) sec^2(beta), cos(psi) - sin(psi) tan(beta)],
+         [ v cos(psi) sec^2(beta), sin(psi) + cos(psi) tan(beta)]],
+
+with det S = -v sec^2(beta), so S is invertible iff v != 0.  VehicleState.trig
+holds the planar velocity and S, computed once, when the state is made: one
+control tick reads them about a dozen times (nominal control, every pair
+row, the first RK4 stage).  The RK4 step is unrolled in plain float math
+with the same operations, in the same order, as the textbook stage-by-stage
+form.
 """
 
 from __future__ import annotations
@@ -35,11 +36,7 @@ __all__ = [
     "VehicleState",
     "VehicleParams",
     "ControlInput",
-    "PlanarKinematics",
-    "bicycle_derivative",
     "step",
-    "predict_position",
-    "planar_kinematics",
 ]
 
 _HALF_PI = math.pi / 2.0
@@ -50,7 +47,7 @@ class VehicleState:
     """Pose, slip and speed of one vehicle: z = [x, y, psi, beta, v].
 
     trig = (xdot, ydot, tan(beta), S01, S11, S00, S10) is computed once, when
-    the state is made.  S is the planar coupling matrix of planar_kinematics;
+    the state is made.  S is the planar coupling matrix of the module docstring;
     its acceleration column [S01, S11] = [cos - sin tan, sin + cos tan] is the
     velocity direction, so (xdot, ydot) = v * (S01, S11).  The slip angle is
     not checked here; callers that need the domain check do it themselves.
@@ -75,22 +72,16 @@ class VehicleState:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.psi, self.beta, self.v])
 
-    @staticmethod
-    def from_array(z) -> "VehicleState":
-        return VehicleState(float(z[0]), float(z[1]), float(z[2]), float(z[3]), float(z[4]))
-
 
 @dataclass(frozen=True)
 class VehicleParams:
-    """Geometry of the vehicle: c.g. to rear/front axle distances and safety radius."""
+    """Geometry of the vehicle; the safety radius is barriers.FfParams.R."""
 
     lr: float = 1.0   # c.g. to rear axle (m)
-    lf: float = 1.0   # c.g. to front axle (m)
-    R: float = 1.25   # safety radius (m); vehicles are discs of radius R at the c.g.
 
     def __post_init__(self) -> None:
-        if not (self.lr > 0.0 and self.lf > 0.0 and self.R > 0.0):
-            raise ValueError(f"lr, lf, R must be positive, got {self}")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be positive, got {self}")
 
 
 @dataclass(frozen=True)
@@ -101,33 +92,9 @@ class ControlInput:
     a: float
 
 
-@dataclass(frozen=True)
-class PlanarKinematics:
-    """Planar velocity and control-affine acceleration structure of one vehicle.
-
-    [xddot, yddot] = [drift_ax, drift_ay] + coupling @ [omega, a].
-    coupling is singular iff v == 0 (its omega column scales with v).
-    """
-
-    xdot: float
-    ydot: float
-    drift_ax: float
-    drift_ay: float
-    coupling: np.ndarray  # 2x2
-
-
 def _check_beta(beta: float) -> None:
     if not abs(beta) < _HALF_PI:
         raise ValueError(f"slip angle |beta|={abs(beta):.6f} outside (-pi/2, pi/2)")
-
-
-def bicycle_derivative(
-    state: VehicleState, inp: ControlInput, params: VehicleParams
-) -> np.ndarray:
-    """Time derivative [xdot, ydot, psidot, betadot, vdot] of the bicycle state."""
-    _check_beta(state.beta)
-    xd, yd, tb = state.trig[:3]
-    return np.array([xd, yd, (state.v / params.lr) * tb, inp.omega, inp.a])
 
 
 def step(
@@ -178,36 +145,3 @@ def planar_velocity(state: VehicleState) -> tuple[float, float]:
     """(xdot, ydot) of the c.g. at the current state."""
     _check_beta(state.beta)
     return state.trig[:2]
-
-
-def predict_position(state: VehicleState, tau: float) -> tuple[float, float]:
-    """Constant-velocity position forecast (x + xdot*tau, y + ydot*tau).
-
-    Exact for straight zero-input motion; deliberately ignores any heading
-    change, which is the approximation the relaxed barrier compensates for.
-    """
-    if tau < 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    xd, yd = planar_velocity(state)
-    return state.x + xd * tau, state.y + yd * tau
-
-
-def planar_kinematics(state: VehicleState, params: VehicleParams) -> PlanarKinematics:
-    """Planar velocity plus the control coupling S and drift of [xddot, yddot].
-
-    Differentiating the position kinematics in time gives
-
-        xddot = -ydot * psidot + S[0] @ u
-        yddot =  xdot * psidot + S[1] @ u
-
-    with S = [[-v sin(psi) sec^2(beta), cos(psi) - sin(psi) tan(beta)],
-              [ v cos(psi) sec^2(beta), sin(psi) + cos(psi) tan(beta)]].
-    det S = -v sec^2(beta), so S is invertible iff v != 0.
-    """
-    _check_beta(state.beta)
-    xd, yd, tb, sax, say, swx, swy = state.trig
-    psid = (state.v / params.lr) * tb
-    return PlanarKinematics(
-        xdot=xd, ydot=yd, drift_ax=-yd * psid, drift_ay=xd * psid,
-        coupling=np.array([[swx, sax], [swy, say]]),
-    )

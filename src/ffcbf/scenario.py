@@ -27,9 +27,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barriers import FfParams, RffParams, h0, h_ff, h_rff
+from .barriers import RffParams, h0, h_ff, h_rff
 from .controllers import ControllerConfig, NominalTarget, centralized_step, decentralized_step
-from .dynamics import VehicleParams, VehicleState, planar_velocity, step
+from .dynamics import VehicleState, planar_velocity, step
 
 __all__ = [
     "ScenarioConfig",
@@ -55,7 +55,11 @@ class ScenarioError(ValueError):
 
 @dataclass
 class ScenarioConfig:
-    """Full description of one benchmark setup (world, sampling, controller)."""
+    """Full description of one benchmark setup (world, sampling, controller).
+
+    Each parameter has one home: the speed limit is controller.v_max and the
+    safety radius is controller.rff.ff.R.
+    """
 
     scenario: str = "all_straight"        # all_straight | one_left_turn
     num_vehicles: int = 4
@@ -63,13 +67,11 @@ class ScenarioConfig:
     delta_d: float = 5.0                  # initial-distance half-width (m)
     s0: float = 6.0                       # initial-speed center (m/s)
     delta_s: float = 3.0                  # initial-speed half-width (m/s)
-    v_max: float = 10.0                   # speed limit (m/s)
     dt: float = 0.01                      # integration/control timestep (s)
     t_max: float = 30.0                   # trial cap (s)
     seed: int = 0
     lane_width: float = 2.7               # m
     box_half: float = 2.7                 # half-size of the intersection box (m)
-    R: float = 1.25                       # vehicle safety radius (m)
     turn_speed: float = 3.0               # reference speed on the left-turn arc (m/s)
     ref_accel: float = 6.0                # reference speed ramp magnitude (m/s^2)
     exit_lateral_tol: float = 0.5         # m from the exit centerline
@@ -94,13 +96,10 @@ class ScenarioConfig:
             raise ScenarioError("dt and t_max must be positive")
         if self.seed < 0:
             raise ScenarioError("seed must be nonnegative")
-        if not (self.lane_width > 0 and self.box_half > 0 and self.R > 0):
+        if not (self.lane_width > 0 and self.box_half > 0):
             raise ScenarioError("geometry lengths must be positive")
         if self.lane_width / 2.0 > self.box_half:
             raise ScenarioError("lane centerlines must fall inside the box")
-
-    def ff_params(self) -> FfParams:
-        return self.controller.rff.ff
 
 
 def default_config(
@@ -110,34 +109,10 @@ def default_config(
     seed: int = 0,
     **overrides,
 ) -> ScenarioConfig:
-    """Benchmark defaults with a consistently wired controller/barrier stack."""
-    R = float(overrides.pop("R", 1.25))
-    v_max = float(overrides.pop("v_max", 10.0))
-    ff = FfParams(
-        tau_bar=float(overrides.pop("tau_bar", 5.0)),
-        k=float(overrides.pop("k", 1000.0)),
-        epsilon=float(overrides.pop("epsilon", 1e-9)),
-        R=R,
-    )
-    rff = RffParams(
-        ff=ff,
-        k0_scale=float(overrides.pop("k0_scale", 0.1)),
-        k0_floor=float(overrides.pop("k0_floor", 0.001)),
-    )
-    vehicle = VehicleParams(
-        lr=float(overrides.pop("lr", 1.0)), lf=float(overrides.pop("lf", 1.0)), R=R
-    )
-    ctrl_keys = (
-        "alpha_gain", "speed_alpha", "omega_bar", "a_bar", "lqr_q_pos", "lqr_q_vel", "lqr_r",
-        "hocbf_gain", "zero_margin", "beta_max", "omega_v_ref", "v_eps", "decentral_eps",
-    )
-    ctrl_overrides = {k: overrides.pop(k) for k in ctrl_keys if k in overrides}
-    controller = ControllerConfig(
-        cbf_kind=cbf_kind, mode=mode, v_max=v_max, vehicle=vehicle, rff=rff,
-        **ctrl_overrides,
-    )
+    """Benchmark defaults for one cell; overrides name ScenarioConfig fields."""
     return ScenarioConfig(
-        scenario=scenario, seed=seed, v_max=v_max, R=R, controller=controller, **overrides
+        scenario=scenario, seed=seed,
+        controller=ControllerConfig(cbf_kind=cbf_kind, mode=mode), **overrides,
     )
 
 
@@ -361,6 +336,23 @@ def check_assumption1(states, tau_bar: float, R: float) -> bool:
     return True
 
 
+class _StopClock:
+    """The deadlock rule: fires once consecutive stopped samples, dt apart,
+    span window seconds."""
+
+    def __init__(self, dt: float, window: float):
+        self._dt = dt
+        self._end = window - 1e-12
+        self._run = 0
+
+    def tick(self, stopped: bool) -> bool:
+        if not stopped:
+            self._run = 0
+            return False
+        self._run += 1
+        return (self._run - 1) * self._dt >= self._end
+
+
 def detect_deadlock(speeds, exited, dt: float, stop_speed: float = 0.01,
                     window: float = 3.0) -> bool:
     """True iff some contiguous stretch spanning >= window seconds has every
@@ -368,12 +360,8 @@ def detect_deadlock(speeds, exited, dt: float, stop_speed: float = 0.01,
     speeds = np.asarray(speeds, dtype=float)
     exited = np.asarray(exited, dtype=bool)
     stopped = np.all((speeds < stop_speed) | exited, axis=1) & ~np.all(exited, axis=1)
-    run = 0
-    for flag in stopped:
-        run = run + 1 if flag else 0
-        if (run - 1) * dt >= window - 1e-12:
-            return True
-    return False
+    clock = _StopClock(dt, window)
+    return any(clock.tick(flag) for flag in stopped.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +423,10 @@ def run_trial(config: ScenarioConfig, trial_index: int,
               log_trajectory: bool = False) -> TrialResult:
     """Sample, screen, simulate and score a single trial."""
     rng = trial_rng(config, trial_index)
-    ff = config.ff_params()
+    ff = config.controller.rff.ff
     resamples = 0
     states = randomize_initial(config, rng)
-    while not check_assumption1(states, ff.tau_bar, config.R):
+    while not check_assumption1(states, ff.tau_bar, ff.R):
         resamples += 1
         if resamples > config.max_resamples:
             raise ScenarioError(
@@ -467,7 +455,7 @@ def run_trial(config: ScenarioConfig, trial_index: int,
     always_feasible = True
     deadlock = False
     success = False
-    stopped_run = 0
+    clock = _StopClock(dt, config.deadlock_window)
     warm_central = None
     warm_decentral = [None] * n
 
@@ -483,8 +471,7 @@ def run_trial(config: ScenarioConfig, trial_index: int,
     completion_time = None
     max_steps = int(round(config.t_max / dt))
     t_end = config.t_max - 1e-12
-    deadlock_end = config.deadlock_window - 1e-12
-    R, stop_speed = config.R, config.stop_speed
+    R, stop_speed = ff.R, config.stop_speed
     centralized = ctrl.mode == "centralized"
     vehicles = range(n)
     for _ in range(max_steps + 1):
@@ -503,13 +490,9 @@ def run_trial(config: ScenarioConfig, trial_index: int,
         if h0_now:
             min_h0 = min(min_h0, min(h0_now))
 
-        if all(exited[i] or states[i].v < stop_speed for i in vehicles):
-            stopped_run += 1
-            if (stopped_run - 1) * dt >= deadlock_end:
-                deadlock = True
-                break
-        else:
-            stopped_run = 0
+        if clock.tick(all(exited[i] or states[i].v < stop_speed for i in vehicles)):
+            deadlock = True
+            break
 
         targets = [ref(t) for ref in refs]
         if centralized:

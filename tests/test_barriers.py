@@ -8,23 +8,19 @@ from hypothesis import strategies as st
 from ffcbf.barriers import (
     FfParams,
     RffParams,
+    _vehicle_planar,
     constraint_row,
-    ff_batch,
     h0,
-    h0_batch,
     h_ff,
     h_rff,
     h_speed,
-    relative_kinematics,
-    rff_batch,
     smooth_switch,
     tau_hat,
-    tau_hat_batch,
     tau_star_hat,
 )
-from ffcbf.dynamics import ControlInput, VehicleParams, VehicleState, step
+from ffcbf.dynamics import ControlInput, VehicleParams, VehicleState, planar_velocity, step
 
-VEH = VehicleParams(R=1.25)
+VEH = VehicleParams()
 FF = FfParams(R=1.25)
 RFF = RffParams(ff=FF)
 
@@ -34,6 +30,13 @@ def random_state(rng, pos=30.0, vmax=10.0):
         rng.uniform(-pos, pos), rng.uniform(-pos, pos),
         rng.uniform(-math.pi, math.pi), rng.uniform(-0.5, 0.5), rng.uniform(0.0, vmax),
     )
+
+
+def pair_tau_hat(a, b):
+    """tau_hat of a vehicle pair through the scalar paper pieces."""
+    (xa, ya), (xb, yb) = planar_velocity(a), planar_velocity(b)
+    ts = tau_star_hat((a.x - b.x, a.y - b.y), (xa - xb, ya - yb), FF.epsilon)
+    return tau_hat(ts, FF.tau_bar, FF.k)
 
 
 class TestSpeedBarrier:
@@ -127,7 +130,6 @@ class TestFfBarrier:
         for _ in range(2000):
             a, b = random_state(rng), random_state(rng)
             xi = (a.x - b.x, a.y - b.y)
-            from ffcbf.dynamics import planar_velocity
             va, vb = planar_velocity(a), planar_velocity(b)
             nu = (va[0] - vb[0], va[1] - vb[1])
             ts = tau_star_hat(xi, nu, FF.epsilon)
@@ -167,26 +169,39 @@ class TestRffBarrier:
         for _ in range(500):
             a, b = random_state(rng), random_state(rng)
             k0 = (h_rff(a, b, RFF) - h_ff(a, b, FF))
-            assert abs(k0) <= 0.1 * max(tau_hat_batch(a.as_array(), b.as_array(), FF) - 1, 0.001) \
-                * abs(h0(a, b, FF.R)) + 1e-9
+            assert abs(k0) <= 0.1 * max(pair_tau_hat(a, b) - 1, 0.001) * abs(h0(a, b, FF.R)) + 1e-9
 
 
 class TestRelativeKinematics:
+    """The differential kinematics the pair rows are built on:
+    alpha = drift_i + S_i u_i - drift_j - S_j u_j."""
+
+    @staticmethod
+    def planar_accel(state, inp):
+        """drift + S @ [omega, a] of one vehicle, as the pair rows read it."""
+        _, _, swx, swy, sax, say, dax, day = _vehicle_planar(state, VEH.lr)
+        return np.array([dax + swx * inp.omega + sax * inp.a,
+                         day + swy * inp.omega + say * inp.a])
+
     def test_identical_states(self):
+        # xi = nu = 0: the distance row has no acceleration coefficients
         a = VehicleState(1, 2, 0.5, 0.1, 3)
-        rk = relative_kinematics(a, a, VEH)
-        assert np.allclose(rk.xi, 0) and np.allclose(rk.nu, 0)
+        ev = constraint_row("zero", a, a, 0.3, -0.2, 10.0, VEH, RFF, zero_margin=0.0)
+        assert ev.gamma_i == ev.gamma_j == 0.0
+        assert ev.value == h0(a, a, FF.R) == -4.0 * FF.R ** 2
 
     def test_stationary_neighbor_singular_omega_column(self):
+        # a stopped neighbor's slip-rate column is zero: its omega cannot move the row
         a = VehicleState(0, 0, 0, 0, 3)
         b = VehicleState(5, 5, 0.7, 0.2, 0)
-        rk = relative_kinematics(a, b, VEH)
-        assert np.allclose(rk.alpha_coupling_j[:, 0], 0.0)
+        assert b.trig[5:7] == (0.0, 0.0)
+        for kind in ("zero", "ff", "rff"):
+            rows = [constraint_row(kind, a, b, 0.4, wb, 10.0, VEH, RFF) for wb in (-1.0, 1.0)]
+            assert rows[0] == rows[1], kind
 
     def test_alpha_matches_finite_difference(self):
         rng = np.random.default_rng(9)
         delta = 1e-5
-        from ffcbf.dynamics import planar_velocity
         for _ in range(40):
             a, b = random_state(rng, pos=10), random_state(rng, pos=10)
             ua = ControlInput(rng.uniform(-1, 1), rng.uniform(-4, 4))
@@ -196,10 +211,7 @@ class TestRelativeKinematics:
             nu0 = np.subtract(planar_velocity(a), planar_velocity(b))
             nu2 = np.subtract(planar_velocity(a_far), planar_velocity(b_far))
             fd = (nu2 - nu0) / (2 * delta)
-            rk = relative_kinematics(a_mid, b_mid, VEH)
-            pred = (rk.alpha_drift
-                    + rk.alpha_coupling_i @ [ua.omega, ua.a]
-                    - rk.alpha_coupling_j @ [ub.omega, ub.a])
+            pred = self.planar_accel(a_mid, ua) - self.planar_accel(b_mid, ub)
             assert np.allclose(fd, pred, atol=1e-5, rtol=1e-5)
 
 
@@ -235,7 +247,7 @@ class TestConstraintRow:
             ua = ControlInput(rng.uniform(-1.5, 1.5), rng.uniform(-6, 6))
             ub = ControlInput(rng.uniform(-1.5, 1.5), rng.uniform(-6, 6))
             if kind == "rff":
-                th = float(tau_hat_batch(a.as_array(), b.as_array(), FF))
+                th = pair_tau_hat(a, b)
                 if abs(th - (1.0 + RFF.k0_floor)) < 1e-3:
                     continue  # measure-zero kink of k0: one-sided by design
             (a_mid, b_mid), fd = self.fd_hdot(kind, a, b, ua, ub)
@@ -248,7 +260,6 @@ class TestConstraintRow:
         # phi + gamma.a reconstructs h0'' + class-K terms; compare h0'' to the
         # finite difference of the analytic h0' = 2 p along the rollout
         rng = np.random.default_rng(23)
-        from ffcbf.dynamics import planar_velocity
         delta = 1e-5
         for _ in range(80):
             a, b = random_state(rng), random_state(rng)
@@ -307,47 +318,3 @@ class TestConstraintRow:
         a = VehicleState(0, 0, 0, 0, 1)
         with pytest.raises(ValueError):
             constraint_row("bogus", a, a, 0, 0, 10.0, VEH, RFF)
-
-
-class TestBatchConsistency:
-    def test_values_match_scalar(self):
-        rng = np.random.default_rng(51)
-        za = np.stack([random_state(rng).as_array() for _ in range(200)])
-        zb = np.stack([random_state(rng).as_array() for _ in range(200)])
-        ff_vals = ff_batch(za, zb, FF)
-        rff_vals = rff_batch(za, zb, RFF)
-        h0_vals = h0_batch(za, zb, FF.R)
-        for i in range(200):
-            a = VehicleState.from_array(za[i])
-            b = VehicleState.from_array(zb[i])
-            assert ff_vals[i] == pytest.approx(h_ff(a, b, FF), rel=1e-12, abs=1e-12)
-            assert rff_vals[i] == pytest.approx(h_rff(a, b, RFF), rel=1e-12, abs=1e-12)
-            assert h0_vals[i] == pytest.approx(h0(a, b, FF.R), rel=1e-12, abs=1e-12)
-
-    @pytest.mark.parametrize("which", ["ff", "rff"])
-    def test_gradients_match_finite_difference(self, which):
-        rng = np.random.default_rng(61)
-        n = 3000
-        za = np.stack([random_state(rng).as_array() for _ in range(n)])
-        zb = np.stack([random_state(rng).as_array() for _ in range(n)])
-        if which == "ff":
-            _, gi, gj = ff_batch(za, zb, FF, grad=True)
-            val = lambda x, y: ff_batch(x, y, FF)
-        else:
-            keep = np.abs(tau_hat_batch(za, zb, FF) - (1.0 + RFF.k0_floor)) > 1e-3
-            za, zb = za[keep], zb[keep]
-            _, gi, gj = rff_batch(za, zb, RFF, grad=True)
-            val = lambda x, y: rff_batch(x, y, RFF)
-        eta = 1e-5
-        fd_i = np.empty_like(gi)
-        fd_j = np.empty_like(gj)
-        for comp in range(5):
-            dz = np.zeros(5)
-            dz[comp] = eta
-            fd_i[:, comp] = (val(za + dz, zb) - val(za - dz, zb)) / (2 * eta)
-            fd_j[:, comp] = (val(za, zb + dz) - val(za, zb - dz)) / (2 * eta)
-        an = np.concatenate([gi, gj], axis=1)
-        fd = np.concatenate([fd_i, fd_j], axis=1)
-        err = np.linalg.norm(an - fd, axis=1)
-        scale = 1.0 + np.linalg.norm(an, axis=1)
-        assert np.max(err / scale) < 1e-4

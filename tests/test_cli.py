@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ffcbf.cli import (
     write_summary,
     write_trajectory_csv,
 )
-from ffcbf.scenario import ScenarioError, default_config, run_batch, run_trial
+from ffcbf.scenario import ScenarioConfig, ScenarioError, default_config, run_batch, run_trial
 
 
 def small_config_file(tmp_path, **overrides):
@@ -47,15 +48,59 @@ class TestConfigDocuments:
 
     def test_bad_value_is_scenario_error(self):
         with pytest.raises(ScenarioError, match="invalid FfParams"):
-            config_from_dict({"barrier": {"k": 0.5}})
+            config_from_dict({"controller": {"rff": {"ff": {"k": 0.5}}}})
         with pytest.raises(ScenarioError, match="unknown cbf_kind"):
             config_from_dict({"controller": {"cbf_kind": "nope"}})
+        for doc in ({"num_vehicles": 2.0}, {"seed": True}, {"dt": "0.01"},
+                    {"controller": {"rff": {"ff": {"R": None}}}}):
+            with pytest.raises(ScenarioError, match="must be a"):
+                config_from_dict(doc)
 
     def test_partial_dict_uses_defaults(self):
-        cfg = config_from_dict({"seed": 9, "controller": {"cbf_kind": "zero"}})
+        cfg = config_from_dict({"seed": 9, "d0": 11, "controller": {"cbf_kind": "zero"}})
         assert cfg.seed == 9
+        assert cfg.d0 == 11.0 and type(cfg.d0) is float
         assert cfg.controller.cbf_kind == "zero"
         assert cfg.controller.rff.ff.tau_bar == 5.0
+
+    # A valid value other than the default for every leaf field of the tree.
+    OTHER = {"scenario": "one_left_turn", "cbf_kind": "zero", "mode": "decentralized",
+             "num_vehicles": 3, "seed": 7, "max_resamples": 9}
+
+    @classmethod
+    def leaves(cls, config, path=()):
+        for f in fields(config):
+            if not f.init:
+                continue
+            value = getattr(config, f.name)
+            if is_dataclass(value):
+                yield from cls.leaves(value, path + (f.name,))
+            else:
+                yield path + (f.name,), value
+
+    @staticmethod
+    def with_leaf(config, path, value):
+        if len(path) == 1:
+            return replace(config, **{path[0]: value})
+        inner = TestConfigDocuments.with_leaf(getattr(config, path[0]), path[1:], value)
+        return replace(config, **{path[0]: inner})
+
+    def test_round_trip_every_leaf(self):
+        base = ScenarioConfig()
+        leaves = list(self.leaves(base))
+        assert len(leaves) == 40
+        for path, default in leaves:
+            value = self.OTHER[path[-1]] if path[-1] in self.OTHER else 0.8 * default
+            assert value != default, path
+            cfg = self.with_leaf(base, path, value)
+            data = json.loads(json.dumps(config_to_dict(cfg)))
+            assert config_from_dict(data) == cfg != base, path
+
+    def test_flat_form_rejected(self):
+        for doc in ({"R": 1.25}, {"v_max": 10.0}, {"vehicle": {"lr": 1.0}},
+                    {"barrier": {"k": 1000.0}}, {"controller": {"lqr_gain": [[1.0]]}}):
+            with pytest.raises(ScenarioError, match="unknown"):
+                config_from_dict(doc)
 
 
 class TestCmdRun:
@@ -71,8 +116,12 @@ class TestCmdRun:
         assert summary["cbf"] == "rff"
         assert summary["n_trials"] == 2
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["seed"] == 5
-        assert len(manifest["trial_seeds"]) == 2
+        assert sorted(manifest) == ["config", "finished", "n_trials", "outputs",
+                                    "started", "version"]
+        assert manifest["n_trials"] == 2
+        cfg = config_from_dict(manifest["config"])
+        assert cfg.seed == 5 and cfg.num_vehicles == 2
+        assert cfg.controller.cbf_kind == "rff" and cfg.scenario == "all_straight"
 
     def test_missing_config_is_error(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.json"), "--trials", "1",
@@ -81,7 +130,7 @@ class TestCmdRun:
         assert "nope.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc, message", [
-        ({"barrier": {"k": 0.5}}, "invalid FfParams"),
+        ({"controller": {"rff": {"ff": {"k": 0.5}}}}, "invalid FfParams"),
         ({"controller": {"cbf_kind": "nope"}}, "unknown cbf_kind"),
     ])
     def test_bad_config_value_is_error(self, tmp_path, capsys, doc, message):
@@ -126,12 +175,14 @@ class TestCmdCompare:
             assert rc == 0
         for kind in ("zero", "ff", "rff"):
             assert (outs[0] / kind / "summary.json").exists()
-        # paired trials: identical per-trial seed material across kinds
-        manifests = [
-            json.loads((outs[0] / kind / "manifest.json").read_text())["trial_seeds"]
+        # paired trials: the kinds' configs differ only in the barrier kind
+        configs = [
+            json.loads((outs[0] / kind / "manifest.json").read_text())["config"]
             for kind in ("zero", "ff", "rff")
         ]
-        assert manifests[0] == manifests[1] == manifests[2]
+        for kind, config in zip(("zero", "ff", "rff"), configs):
+            assert config["controller"].pop("cbf_kind") == kind
+        assert configs[0] == configs[1] == configs[2]
         # two identical invocations produce byte-identical summaries
         assert (outs[0] / "compare.json").read_bytes() == (outs[1] / "compare.json").read_bytes()
         for kind in ("zero", "ff", "rff"):

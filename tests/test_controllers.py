@@ -17,13 +17,12 @@ from ffcbf.controllers import (
 )
 from ffcbf.dynamics import VehicleParams, VehicleState, step
 
-VEH = VehicleParams(R=1.25)
+VEH = VehicleParams()
+FF = FfParams(R=1.25)
 
 
 def make_config(kind="ff", mode="centralized", **kw):
-    return ControllerConfig(
-        cbf_kind=kind, mode=mode, vehicle=VEH, rff=RffParams(ff=FfParams(R=VEH.R)), **kw
-    )
+    return ControllerConfig(cbf_kind=kind, mode=mode, vehicle=VEH, rff=RffParams(ff=FF), **kw)
 
 
 def target_for(state, speed=None):
@@ -61,6 +60,12 @@ class TestLqrGain:
     def test_invalid_weights(self):
         with pytest.raises(ValueError):
             lqr_gain(0.0, 1.0, 1.0)
+
+    def test_config_gain_derived_from_weights(self):
+        cfg = ControllerConfig(lqr_q_pos=3.0, lqr_q_vel=2.0, lqr_r=0.5)
+        assert np.array_equal(cfg.lqr_gain, lqr_gain(3.0, 2.0, 0.5))
+        with pytest.raises(TypeError):
+            ControllerConfig(lqr_gain=np.zeros((2, 4)))
 
 
 class TestNominalControl:
@@ -214,7 +219,7 @@ class TestDecentralizedStep:
             assert inputs[0].a == pytest.approx(inputs[1].a, abs=1e-6)
             assert inputs[0].omega == pytest.approx(inputs[1].omega, abs=1e-6)
             dist = math.hypot(states[0].x - states[1].x, states[0].y - states[1].y)
-            assert dist >= 2 * VEH.R - 1e-3
+            assert dist >= 2 * FF.R - 1e-3
 
     def test_straight_motion_summed_rows(self):
         # both straight (psi = beta = 0): summing the two satisfied one-sided
@@ -253,4 +258,4 @@ class TestDecentralizedStep:
                     + full.gamma_i * inputs[0].a + full.gamma_j * inputs[1].a)
             assert hdot >= -2 * cfg.alpha_gain * full.value - 1e-4 * (1 + abs(full.value))
             states = [step(states[i], inputs[i], VEH, dt) for i in range(2)]
-        assert h0(states[0], states[1], VEH.R) > 0
+        assert h0(states[0], states[1], FF.R) > 0

@@ -3,18 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ffcbf.dynamics import (
-    ControlInput,
-    VehicleParams,
-    VehicleState,
-    bicycle_derivative,
-    planar_kinematics,
-    planar_velocity,
-    predict_position,
-    step,
-)
+from ffcbf.barriers import FfParams, _vehicle_planar, h0, h_ff, tau_hat, tau_star_hat
+from ffcbf.controllers import NominalTarget, lqr_gain, nominal_control
+from ffcbf.dynamics import ControlInput, VehicleParams, VehicleState, planar_velocity, step
 
 PARAMS = VehicleParams()
+FF = FfParams()
 
 
 def rollout(state, inp, params, dt, n):
@@ -23,26 +17,40 @@ def rollout(state, inp, params, dt, n):
     return state
 
 
+def derivative(state, inp, h=1e-7):
+    """[xdot, ydot, psidot, betadot, vdot] as the forward difference of one step."""
+    return (step(state, inp, PARAMS, h).as_array() - state.as_array()) / h
+
+
+def planar_accel(state, inp):
+    """[xddot, yddot] = drift + S @ [omega, a], read from VehicleState.trig."""
+    xd, yd, tb, sax, say, swx, swy = state.trig
+    psid = (state.v / PARAMS.lr) * tb
+    return np.array([-yd * psid + swx * inp.omega + sax * inp.a,
+                     xd * psid + swy * inp.omega + say * inp.a])
+
+
 class TestDerivative:
+    """The bicycle derivative, through the production RK4 step."""
+
     def test_straight_east(self):
-        d = bicycle_derivative(VehicleState(0, 0, 0, 0, 1), ControlInput(0, 0), PARAMS)
-        assert np.allclose(d, [1, 0, 0, 0, 0])
+        st = VehicleState(0, 0, 0, 0, 1)
+        assert planar_velocity(st) == (1, 0)
+        assert np.allclose(derivative(st, ControlInput(0, 0)), [1, 0, 0, 0, 0])
 
     def test_at_rest_zero_input(self):
-        d = bicycle_derivative(VehicleState(3, -2, 0.7, 0.2, 0), ControlInput(0, 0), PARAMS)
-        assert np.allclose(d, [0, 0, 0, 0, 0])
+        st = VehicleState(3, -2, 0.7, 0.2, 0)
+        assert step(st, ControlInput(0, 0), PARAMS, 0.01) == st
 
     def test_north_heading(self):
-        d = bicycle_derivative(
-            VehicleState(0, 0, math.pi / 2, 0, 2), ControlInput(0.1, 0.5), PARAMS
-        )
-        assert np.allclose(d, [0, 2, 0, 0.1, 0.5])
+        d = derivative(VehicleState(0, 0, math.pi / 2, 0, 2), ControlInput(0.1, 0.5))
+        assert np.allclose(d, [0, 2, 0, 0.1, 0.5], atol=1e-5)
 
     def test_slip_domain_error(self):
         with pytest.raises(ValueError):
-            bicycle_derivative(
-                VehicleState(0, 0, 0, math.pi / 2, 1), ControlInput(0, 0), PARAMS
-            )
+            planar_velocity(VehicleState(0, 0, 0, math.pi / 2, 1))
+        with pytest.raises(ValueError):
+            step(VehicleState(0, 0, 0, math.pi / 2, 1), ControlInput(0, 0), PARAMS, 0.01)
 
 
 class TestStep:
@@ -80,46 +88,75 @@ class TestStep:
         assert 8.0 < ratio < 32.0
 
 
+def pair_tau_hat(a, b):
+    (xa, ya), (xb, yb) = planar_velocity(a), planar_velocity(b)
+    ts = tau_star_hat((a.x - b.x, a.y - b.y), (xa - xb, ya - yb), FF.epsilon)
+    return tau_hat(ts, FF.tau_bar, FF.k)
+
+
 class TestPredictPosition:
+    """h_ff is h0 of the constant-velocity forecast of the pair at tau_hat."""
+
     def test_tau_zero(self):
-        st = VehicleState(3, -1, 0.4, 0.1, 5)
-        assert predict_position(st, 0.0) == (3, -1)
+        # receding pair: tau_hat = 0, the forecast is the current position
+        a = VehicleState(10, 0, 0, 0, 3)
+        b = VehicleState(0, 0, 0.4, 0.1, 0)
+        assert pair_tau_hat(a, b) == 0.0
+        assert h_ff(a, b, FF) == h0(a, b, FF.R)
 
     def test_straight_east(self):
-        assert predict_position(VehicleState(0, 0, 0, 0, 3), 2.0) == (6, 0)
+        # east at 3 m/s toward a stopped vehicle: closest at tau_hat = 4 s, x = 12
+        a = VehicleState(0, 0, 0, 0, 3)
+        b = VehicleState(12, 1, 0, 0, 0)
+        assert pair_tau_hat(a, b) == pytest.approx(4.0, abs=1e-9)
+        forecast = VehicleState(12, 0, 0, 0, 3)
+        assert h_ff(a, b, FF) == pytest.approx(h0(forecast, b, FF.R), abs=1e-9)
 
     def test_stationary(self):
-        st = VehicleState(2, 7, 1.0, 0.3, 0)
-        assert predict_position(st, 11.0) == (2, 7)
+        a = VehicleState(2, 7, 1.0, 0.3, 0)
+        b = VehicleState(-4, 1, 0.2, 0.0, 0)
+        assert h_ff(a, b, FF) == h0(a, b, FF.R)
 
     def test_matches_rollout_for_straight_motion(self):
         # beta = 0, zero input: the constant-velocity forecast is exact
-        st = VehicleState(1, 2, 0.7, 0, 4)
-        tau, n = 2.0, 200
-        end = rollout(st, ControlInput(0, 0), PARAMS, tau / n, n)
-        px, py = predict_position(st, tau)
-        assert (end.x, end.y) == pytest.approx((px, py), abs=1e-9)
+        a = VehicleState(1, 2, 0.7, 0, 4)
+        b = VehicleState(12, 4, 2.6, 0, 3)
+        tau = pair_tau_hat(a, b)
+        assert 1.0 < tau < FF.tau_bar
+        n = 200
+        end_a = rollout(a, ControlInput(0, 0), PARAMS, tau / n, n)
+        end_b = rollout(b, ControlInput(0, 0), PARAMS, tau / n, n)
+        assert h_ff(a, b, FF) == pytest.approx(h0(end_a, end_b, FF.R), abs=1e-9)
 
     def test_diverges_under_turning(self):
         # nonzero slip bends the true zero-input path away from the forecast;
-        # this gap is what the relaxed barrier tolerates
-        st = VehicleState(0, 0, 0, 0.3, 4)
-        tau, n = 2.0, 200
-        end = rollout(st, ControlInput(0, 0), PARAMS, tau / n, n)
-        px, py = predict_position(st, tau)
-        assert math.hypot(end.x - px, end.y - py) > 0.5
+        # this gap is what the relaxed barrier tolerates.  b sits where a's
+        # forecast puts a at tau_hat = 2 s.
+        a = VehicleState(0, 0, 0, 0.3, 4)
+        xd, yd = planar_velocity(a)
+        b = VehicleState(2 * xd, 2 * yd, 0, 0, 0)
+        tau = pair_tau_hat(a, b)
+        assert tau == pytest.approx(2.0, abs=1e-9)
+        assert h_ff(a, b, FF) == pytest.approx(-4 * FF.R ** 2, abs=1e-9)
+        n = 200
+        end_a = rollout(a, ControlInput(0, 0), PARAMS, tau / n, n)
+        gap = math.sqrt(h0(end_a, b, FF.R) + 4 * FF.R ** 2)
+        assert gap > 0.5
 
 
 class TestPlanarKinematics:
+    """The planar acceleration structure held in VehicleState.trig."""
+
     def test_coupling_at_origin_heading(self):
-        pk = planar_kinematics(VehicleState(0, 0, 0, 0, 2), PARAMS)
-        assert np.allclose(pk.coupling, [[0, 1], [2, 0]])
-        assert (pk.xdot, pk.ydot) == (2, 0)
-        assert (pk.drift_ax, pk.drift_ay) == (0, 0)
+        st = VehicleState(0, 0, 0, 0, 2)
+        xd, yd, tb, sax, say, swx, swy = st.trig
+        assert np.allclose([[swx, sax], [swy, say]], [[0, 1], [2, 0]])
+        assert (xd, yd) == (2, 0)
+        assert np.allclose(planar_accel(st, ControlInput(0, 0)), 0.0)
 
     def test_zero_speed_singular_omega_column(self):
-        pk = planar_kinematics(VehicleState(1, 1, 0.8, 0.2, 0), PARAMS)
-        assert np.allclose(pk.coupling[:, 0], 0.0)
+        st = VehicleState(1, 1, 0.8, 0.2, 0)
+        assert np.allclose(st.trig[5:7], 0.0)
 
     def test_acceleration_matches_finite_difference(self):
         rng = np.random.default_rng(7)
@@ -131,28 +168,27 @@ class TestPlanarKinematics:
             mid = step(st, u, PARAMS, delta)
             far = step(st, u, PARAMS, 2 * delta)
             fd = (np.array(planar_velocity(far)) - np.array(planar_velocity(st))) / (2 * delta)
-            pk = planar_kinematics(mid, PARAMS)
-            pred = np.array([pk.drift_ax, pk.drift_ay]) + pk.coupling @ [u.omega, u.a]
-            assert np.allclose(fd, pred, atol=1e-5, rtol=1e-5)
+            assert np.allclose(fd, planar_accel(mid, u), atol=1e-5, rtol=1e-5)
 
     def test_appendix_identity(self):
-        # commanding planar acceleration mu through S^{-1}[mu_x + yd*psid,
-        # mu_y - xd*psid] must reproduce exactly that planar acceleration
+        # nominal_control maps the LQR planar acceleration mu = -K (zeta - q*)
+        # through S^{-1}[mu_x + yd*psid, mu_y - xd*psid]; driving the bicycle
+        # with that (omega0, a0) must reproduce exactly mu
         rng = np.random.default_rng(11)
+        gain = lqr_gain(16.0, 8.0, 1.0)
         for _ in range(200):
             st = VehicleState(*rng.uniform(-5, 5, 2), rng.uniform(-3, 3),
                               rng.uniform(-0.9, 0.9), rng.uniform(0.2, 10))
-            mu = rng.uniform(-8, 8, 2)
-            pk = planar_kinematics(st, PARAMS)
-            psid = (st.v / PARAMS.lr) * math.tan(st.beta)
-            rhs = np.array([mu[0] + pk.ydot * psid, mu[1] - pk.xdot * psid])
-            u = np.linalg.solve(pk.coupling, rhs)
-            accel = np.array([pk.drift_ax, pk.drift_ay]) + pk.coupling @ u
+            target = NominalTarget(rng.uniform(-5, 5, 4))
+            w0, a0 = nominal_control(st, target, gain, PARAMS)
+            zeta = np.array([st.x, st.y, *planar_velocity(st)])
+            mu = -gain @ (zeta - target.q_star)
+            accel = planar_accel(st, ControlInput(w0, a0))
             assert np.allclose(accel, mu, atol=1e-8)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            planar_kinematics(VehicleState(0, 0, 0, 1.6, 1), PARAMS)
+            planar_velocity(VehicleState(0, 0, 0, 1.6, 1))
 
 
 def test_params_validation():
@@ -208,10 +244,9 @@ class TestTrigCache:
         for st in random_states(4, 50):
             xd, yd, tb, sax, say, swx, swy = st.trig
             assert planar_velocity(st) == (xd, yd)
-            pk = planar_kinematics(st, PARAMS)
-            assert pk.coupling.tolist() == [[swx, sax], [swy, say]]
-            d = bicycle_derivative(st, ControlInput(0.2, -0.3), PARAMS)
-            assert d.tolist() == [xd, yd, (st.v / PARAMS.lr) * tb, 0.2, -0.3]
+            psid = (st.v / PARAMS.lr) * tb
+            assert _vehicle_planar(st, PARAMS.lr) == (
+                xd, yd, swx, swy, sax, say, -yd * psid, xd * psid)
 
 
 class TestStepBits:

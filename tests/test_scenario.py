@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ffcbf.dynamics import VehicleState
+from ffcbf.barriers import FfParams, RffParams
+from ffcbf.controllers import ControllerConfig, NominalTarget, build_centralized_qp
+from ffcbf.dynamics import VehicleState, planar_velocity
 from ffcbf.scenario import (
     BatchSummary,
     ScenarioConfig,
@@ -268,6 +270,43 @@ class TestRunTrial:
             r = run_trial(cfg, idx)
             assert r.unsafe == (r.min_h0 < 0.0)
             assert not (r.success and r.deadlock)
+
+
+class TestSafetyRadius:
+    """FfParams.R is the one radius: the rows enforce it and run_trial scores it."""
+
+    R = 1.3  # 2R = 2.6 m still clears the 2.7 m gap of opposing lanes
+
+    def configs(self):
+        wide = ControllerConfig(cbf_kind="ff", rff=RffParams(ff=FfParams(R=self.R)))
+        return default_config("ff"), ScenarioConfig(controller=wide)
+
+    def test_radius_moves_the_rows(self):
+        base, wide = self.configs()
+        states = randomize_initial(base, trial_rng(base, 0))
+        targets = [NominalTarget(np.array([s.x, s.y, *planar_velocity(s)])) for s in states]
+        rows = [build_centralized_qp(states, targets, cfg.controller)[0].rows
+                for cfg in (base, wide)]
+        n = base.num_vehicles
+        shift = base.controller.alpha_gain * 4.0 * (self.R ** 2 - 1.25 ** 2)
+        assert rows[1][:n] == rows[0][:n]  # speed rows
+        for (c0, lb0), (c1, lb1) in zip(rows[0][n:], rows[1][n:]):
+            assert np.array_equal(c0, c1)
+            assert lb1 - lb0 == pytest.approx(shift, rel=1e-9)
+
+    def test_radius_moves_min_h0_and_unsafe(self):
+        base, wide = self.configs()
+        near = run_trial(base, 0)
+        r = run_trial(wide, 0, log_trajectory=True)
+        # the default run passes closer than 2R; the wide rows hold 2R
+        assert near.min_h0 + 4.0 * 1.25 ** 2 < 4.0 * self.R ** 2
+        assert r.success and not r.unsafe
+        assert 0.0 <= r.min_h0 < 0.01
+        xy = r.trajectory.states[:, :, :2]
+        d2 = [((xy[:, i] - xy[:, j]) ** 2).sum(axis=1) for i, j in r.trajectory.pairs]
+        h0_log = np.stack(d2, axis=1) - 4.0 * self.R ** 2
+        assert np.allclose(r.trajectory.h0, h0_log, atol=1e-9)
+        assert r.min_h0 == r.trajectory.h0.min()
 
 
 class TestRunBatch:
