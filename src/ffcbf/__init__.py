@@ -34,7 +34,7 @@ from .dynamics import (
     VehicleState,
     step,
 )
-from .qp import QpProblem, QpSolution, solve, verify_kkt
+from .qp import QpProblem, QpSolution, solve
 from .scenario import (
     BatchSummary,
     ScenarioConfig,

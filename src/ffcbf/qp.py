@@ -2,33 +2,42 @@
 
 Solves   min 1/2 ||u - u0||^2   s.t.  coeff_r . u >= lb_r  (rows),  lo <= u <= hi
 
-with a primal active-set method.  The identity Hessian makes every subproblem
-a Euclidean projection: the equality-constrained step is u0 + G_W^T lambda
-with (G_W G_W^T) lambda = b_W - G_W u0.  Rows are normalized internally so
-the result is invariant to row scaling.
+with the dual active-set method of Goldfarb and Idnani ("A numerically
+stable dual method for solving strictly convex quadratic programs", Math.
+Programming 27, 1983) for the identity Hessian.  Rows are normalized
+internally so the result is invariant to row scaling.
 
-The box-clipped target is returned as is when it satisfies every row (the
-common control tick).  Otherwise a feasible starting point is taken from (in
-order) the warm-started working set, the projection onto the most violated
-rows (ties to the lowest row index), or a phase-1 minimum-slack LP, solved by
-the dense simplex in linprog(); the problem is declared infeasible when the
-minimum slack exceeds 1e-7.  A step stops at the first blocking row; at a
-stationary point the most negative multiplier leaves the working set (ties
-to the earliest entry).  The package needs only numpy at run time.
+The iterate x is the projection of the target onto the equalities of an
+active set A of linearly independent rows, with multipliers lambda >= 0;
+rows outside A may be violated.  Each step takes the most violated row p
+(ties to the lowest row index) and splits its normal as g_p = G_A^T r + z,
+z orthogonal to A.  x moves along z and the active multipliers by -r per
+unit of lambda_p; p enters A when it meets its bound, unless an active
+multiplier reaches 0 first: that row leaves and the step repeats.  If g_p
+is in the span of A (z = 0) only the multipliers move, and if no r_j is then
+positive, r is a Farkas certificate of infeasibility.  The dual objective
+never decreases and no active set recurs, so degenerate vertices cannot
+make it cycle.  The answer is the projection onto the final A, recomputed.
+
+The first iterate is the box-clipped target with its clipped bounds active
+(multipliers: the clip distances); when it meets every row it is the
+answer, the common control tick.  A warm start replaces it with the
+projection onto the warm rows, skipping rows in the span of those kept and
+dropping the most negative multiplier until none is negative: a poor warm
+start costs steps, never correctness.  The minimum-slack LP (linprog, a
+dense simplex) runs only after an infeasible verdict, to report the slack.
 
 Problems here are tiny (a handful of variables, tens of rows) and one is
 built and solved on every control tick, where the fixed cost of a numpy call
 exceeds the arithmetic it does.  So the kernel works in plain Python floats:
 QpProblem normalizes its rows once into float lists (squared norms summed in
 numpy's pairwise order, so they equal the np.linalg.norm scaling bit for
-bit); box bounds stay bounds, read coordinate by coordinate instead of as
-[I; -I] rows (a box row that enters the working set is expanded to +-e_i
-there); dot products accumulate left to right from 0.0; and the working-set
-Gram system is solved in closed form up to two rows and by partial-pivot
-elimination above that.  numpy only holds the public target, box and
-solution arrays, solves a singular Gram system (np.linalg.lstsq) and runs
-the rare phase-1 LP.  Everything else is IEEE arithmetic in a fixed order,
-so it gives the same bits on any machine, whatever BLAS numpy uses.
+bit); box bounds stay bounds, read coordinate by coordinate (a box row that
+enters A is expanded to +-e_i there); dot products accumulate left to right
+from 0.0; and G_A^T = Q R is kept factored by modified Gram-Schmidt,
+extended as a row enters and redone from a row that leaves.  numpy only
+holds the public target, box and solution arrays and runs the LP, so the
+same bits come out on any machine, whatever BLAS numpy uses.
 """
 
 from __future__ import annotations
@@ -37,18 +46,19 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 import numpy as np
 
-__all__ = ["QpProblem", "QpSolution", "solve", "verify_kkt"]
+__all__ = ["QpProblem", "QpSolution", "solve"]
 
 FEAS_TOL = 1e-8        # row feasibility, absolute + relative in the bound
 DUAL_TOL = 1e-9        # multipliers may be this negative at the optimum
-PHASE1_TOL = 1e-7      # min slack above this means infeasible
+PHASE1_TOL = 1e-7      # an infeasible verdict's LP slack lies above this
 MAX_ITER = 200
 LP_MAX_PIVOTS = 500    # phase-1 simplex pivots before RuntimeError
-_STEP_EPS = 1e-12
+_DEP_TOL = 1e-12       # squared norm of a unit row's part outside the active span
+_REFINE_TOL = 1e-10    # |lambda_r * miss_r| of an active row that calls for refinement
 _NORM_EPS = 1e-13
 _LP_COST_TOL = 1e-11   # reduced costs above -this are optimal
 _LP_PIVOT_TOL = 1e-11  # smallest pivot element
@@ -305,10 +315,17 @@ class QpSolution:
     """Outcome of solve().
 
     active_set indexes internal rows: the user's rows first, then box lower
-    bounds (one per variable), then box upper bounds.  Pass it back as
-    warm_start on the next, similarly-structured problem.  iteration_limited
-    marks problems abandoned at the iteration cap (reported infeasible but
-    logged distinctly from certified infeasibility).
+    bounds (one per variable), then box upper bounds.  At an optimum it is
+    the dual method's final active set, in row order; pass it back as
+    warm_start on the next, similarly-structured problem.  iterations counts
+    the dual steps after the first iterate, each of which either adds the
+    violated row or drops a blocking one: 0 means the clipped target or the
+    warm-start projection was already optimal.  phase1_slack is set only on
+    an infeasible verdict: the LP's minimum over u of the largest row
+    violation (or the bound of a degenerate row), nan otherwise.
+    iteration_limited marks problems abandoned at the iteration cap
+    (reported infeasible, without an LP, and logged distinctly from
+    certified infeasibility).
     """
 
     status: str                      # "optimal" | "infeasible"
@@ -329,94 +346,89 @@ def _residuals(problem: QpProblem, u: list) -> list:
     return res
 
 
-def _gram_solve(rows: list, rhs: list, dot) -> list:
-    """lambda with (G_W G_W^T) lambda = rhs for the working rows G_W.
-
-    Closed form for one and two rows (the 2x2 LU factorization with partial
-    pivoting), elimination with partial pivoting above that; least squares
-    (np.linalg.lstsq) when a pivot is exactly zero, as np.linalg.solve raises
-    there.
-    """
-    k = len(rows)
-    if k == 1:
-        g = dot(rows[0], rows[0])
-        if g != 0.0:
-            return [rhs[0] / g]
-        gram = [[g]]
-    elif k == 2:
-        # LU with partial pivoting written out (Cramer's rule is not backward
-        # stable: on nearly parallel rows x would miss the working rows).
-        g0, g1 = rows
-        a, c, d = dot(g0, g0), dot(g0, g1), dot(g1, g1)
-        r0, r1 = rhs
-        if abs(c) > abs(a):  # the second row leads
-            f = a / c
-            pivot = c - f * d
-            if pivot != 0.0:
-                lam1 = (r0 - f * r1) / pivot
-                return [(r1 - d * lam1) / c, lam1]
-        elif a != 0.0:
-            f = c / a
-            pivot = d - f * c
-            if pivot != 0.0:
-                lam1 = (r1 - f * r0) / pivot
-                return [(r0 - c * lam1) / a, lam1]
-        gram = [[a, c], [c, d]]
-    else:
-        gram = [[0.0] * k for _ in range(k)]
-        for i, gi in enumerate(rows):
-            for j in range(i, k):
-                gram[i][j] = gram[j][i] = dot(gi, rows[j])
-        lam = _eliminate(gram, rhs)
-        if lam is not None:
-            return lam
-    return np.linalg.lstsq(np.array(gram), np.array(rhs), rcond=None)[0].tolist()
+def _orth(basis: list, g: list, dot) -> tuple[list, list]:
+    """(w, z) with g = sum_i w_i basis_i + z and z orthogonal to the
+    orthonormal vectors basis (modified Gram-Schmidt)."""
+    w = []
+    for q in basis:
+        c = dot(q, g)
+        w.append(c)
+        g = [gi - c * qi for gi, qi in zip(g, q)]
+    return w, g
 
 
-def _eliminate(A: list, rhs: list) -> list | None:
-    """Solve A x = rhs by Gaussian elimination with partial pivoting (the
-    first largest pivot, as in LAPACK); None on an exactly zero pivot."""
-    k = len(rhs)
-    M = [row + [r] for row, r in zip(A, rhs)]
-    for col in range(k):
-        piv = max(range(col, k), key=lambda i: abs(M[i][col]))
-        if M[piv][col] == 0.0:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        prow = M[col]
-        for row in M[col + 1:]:
-            f = row[col] / prow[col]
-            for j in range(col + 1, k + 1):
-                row[j] -= f * prow[j]
-    x = [0.0] * k
-    for i in range(k - 1, -1, -1):
-        row = M[i]
-        s = row[k]
-        for j in range(i + 1, k):
-            s -= row[j] * x[j]
-        x[i] = s / row[i]
-    return x
+def _append(problem: QpProblem, basis: list, R: list, w: list, z: list, zz: float) -> None:
+    """Extend the factorization by a row with _orth parts w and z, zz = z . z."""
+    nz = math.sqrt(zz)
+    basis.append(_kernels(problem.dim)[2](z, nz))
+    R.append(w + [nz])
 
 
-def _eqp(problem: QpProblem, work: list) -> tuple[list, list]:
-    """Projection of the target onto the working-set equalities; returns (x, lambda)."""
-    u0 = problem._u0
-    if not work:
+def _refactor(problem: QpProblem, basis: list, R: list, rows: list, k: int) -> None:
+    """Factor rows again from row k on, after the row at k left."""
+    del basis[k:], R[k:]
+    for g in rows[k:]:
+        w, z = _orth(basis, g, problem._dot)
+        _append(problem, basis, R, w, z, problem._dot(z, z))
+
+
+def _forward(R: list, w: list) -> list:
+    """c with R^T c = w, R upper triangular and stored by columns."""
+    c = []
+    for col, wj in zip(R, w):
+        for ci, rij in zip(c, col):
+            wj -= rij * ci
+        c.append(wj / col[len(c)])
+    return c
+
+
+def _back(R: list, w: list) -> list:
+    """r with R r = w, R upper triangular and stored by columns."""
+    r = list(w)
+    for i in range(len(w) - 1, -1, -1):
+        for j in range(i + 1, len(w)):
+            r[i] -= R[j][i] * r[j]
+        r[i] /= R[i][i]
+    return r
+
+
+def _project(problem: QpProblem, active: list, rows: list, basis: list, R: list) -> tuple:
+    """Projection of the target onto the equalities of the internal rows
+    active (their vectors in rows, factored as rows[j] = sum_i R[j][i]
+    basis[i]); returns (x, lambda).  With G_A^T = Q R, the step is
+    x - u0 = Q c for R^T c = b_A - G_A u0, and lambda = R^-1 c.  The most
+    negative multiplier (ties to the earliest entry) leaves, in place, until
+    none is below -DUAL_TOL."""
+    u0, dot = problem._u0, problem._dot
+    while True:
+        bounds = [problem._bound(r) for r in active]
+        c = _forward(R, [bi - dot(g, u0) for bi, g in zip(bounds, rows)])
+        lam = _back(R, c)
+        if not lam or min(lam) >= -DUAL_TOL:
+            break
+        k = lam.index(min(lam))
+        del active[k], rows[k]
+        _refactor(problem, basis, R, rows, k)
+    if not basis:
         return list(u0), []
-    dot = problem._dot
-    rows = [problem._vector(r) for r in work]
-    rhs = [problem._bound(r) - dot(g, u0) for r, g in zip(work, rows)]
-    lam = _gram_solve(rows, rhs, dot)
-    dot_k = _kernels(len(work))[1]
-    return [ui + dot_k(col, lam) for ui, col in zip(u0, zip(*rows))], lam
+    dot_k = _kernels(len(basis))[1]
+    cols = list(zip(*basis))
+    x = [ui + dot_k(col, c) for ui, col in zip(u0, cols)]
+    # Q is orthonormal only to rounding times the conditioning of G_A, so x
+    # misses nearly parallel active rows by more than rounding, and their
+    # large multipliers magnify the miss; one refinement step corrects it.
+    miss = [bi - dot(g, x) for bi, g in zip(bounds, rows)]
+    if max(map(abs, map(mul, lam, miss))) > _REFINE_TOL:
+        c = _forward(R, miss)
+        x = [xi + dot_k(col, c) for xi, col in zip(x, cols)]
+        lam = list(map(add, lam, _back(R, c)))
+    return x, lam
 
 
-def _kkt_residual(problem: QpProblem, u: list, active, lam: list, res=None) -> float:
+def _kkt_residual(problem: QpProblem, u: list, active, lam: list, res: list) -> float:
     """Max KKT violation (stationarity, primal, dual, complementarity) at u,
-    with multipliers lam on the internal rows active; res, when given, is
+    with multipliers lam on the internal rows active; res is
     _residuals(problem, u)."""
-    if res is None:
-        res = _residuals(problem, u)
     primal = max(0.0, -min(res)) if res else 0.0
     if active:
         rows = [problem._vector(r) for r in active]
@@ -444,136 +456,117 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
         if worst > FEAS_TOL:
             return QpSolution(status="infeasible", u=None, phase1_slack=worst)
 
-    # Fast path: if the box-clipped target satisfies every row it is already
-    # the projection (the box projection lower-bounds any subset's), which is
-    # the typical no-conflict control tick.  A target outside the box is
-    # clipped, and its active box bounds noted, in one pass (same comparisons
-    # as np.clip).
-    active = []
+    # First iterate: the target clipped to the box, in one pass with the same
+    # comparisons as np.clip; each clipped bound is active with the clip
+    # distance as its multiplier.  When it meets every row it is the
+    # projection (the box projection lower-bounds any subset's): the typical
+    # no-conflict control tick.
+    active, lam = [], []
     if lo is None or (all(map(le, lo, u0)) and all(map(le, u0, hi))):
-        uc = u0
+        x = u0
     else:
-        uc = []
+        x = []
         for i, (ui, lo_i, hi_i) in enumerate(zip(u0, lo, hi)):
             if ui < lo_i:
                 active.append(n_user + i)
+                lam.append(lo_i - ui)
             elif ui > hi_i:
                 active.append(n_user + dim + i)
+                lam.append(ui - hi_i)
             ui = ui if ui > lo_i else lo_i
-            uc.append(ui if ui < hi_i else hi_i)
+            x.append(ui if ui < hi_i else hi_i)
     # The clipped target meets every box row, so only the user rows are checked.
-    slack = list(map(sub, map(dot, G, repeat(uc)), b))
-    if min(map(add, slack, tol), default=0.0) >= 0.0:
+    res = list(map(sub, map(dot, G, repeat(x)), b))
+    if min(map(add, res, tol), default=0.0) >= 0.0:
         return QpSolution(
-            status="optimal", u=np.array(uc), active_set=tuple(active),
-            kkt_residual=max(0.0, -min(slack)) if slack else 0.0,
+            status="optimal", u=np.array(x), active_set=tuple(active),
+            kkt_residual=max(0.0, -min(res)) if res else 0.0,
         )
 
-    phase1_slack = float("nan")
-    u = None
-    work: list = []
-    start = None    # projection onto the starting working set, reused by iteration 1
-    checked = None  # (point, its _residuals) of the last feasibility check
-
-    candidates = []
-    if warm_start:
-        cand = [int(r) for r in warm_start if 0 <= int(r) < m]
-        if cand:
-            candidates.append(cand)
-    # then the most violated rows, before paying for the LP
-    candidates.append(sorted((r for r, s in enumerate(slack) if s < 0.0),
-                             key=slack.__getitem__)[:dim])
-    for cand in candidates:
-        start = _eqp(problem, cand)
-        checked = (start[0], _residuals(problem, start[0]))
-        if min(map(add, checked[1], tol)) >= 0.0:
-            u, work = start[0], cand
-            break
-    if u is None:
-        start = None
-        x, phase1_slack = linprog(*problem._stacked())
-        if phase1_slack > PHASE1_TOL:
-            return QpSolution(status="infeasible", u=None, phase1_slack=phase1_slack)
-        u = x.tolist()
-
-    lam: list = []
-    iterations = 0
-    optimal = False
-    for iterations in range(1, MAX_ITER + 1):
-        if start is None:
-            x, lam = _eqp(problem, work)
-        else:  # work is still the starting set: its projection is known
-            (x, lam), start = start, None
-        d = [xi - ui for xi, ui in zip(x, u)]
-        if max(map(abs, d)) <= 1e-11 * (1.0 + max(map(abs, u))):
-            if not lam or min(lam) >= -DUAL_TOL:
-                u = x
-                optimal = True
-                break
-            # drop the most negative multiplier; ties to the earliest entry
-            limit = min(lam) + 1e-15
-            work.pop(next(k for k, lk in enumerate(lam) if lk <= limit))
-            continue
-        # longest step along d before a row outside the working set blocks it
-        t = 1.0
-        blocker = -1
-        rates = [dot(g, d) for g in G]
+    warm = [int(r) for r in warm_start if 0 <= int(r) < m] if warm_start else []
+    # The active rows stay factored as G_A^T = Q R: rows[j] = sum_i R[j][i]
+    # basis[i] with orthonormal basis vectors.
+    if warm:
+        active, rows, basis, R = [], [], [], []
+        for r in warm:
+            g = problem._vector(r)
+            w, z = _orth(basis, g, dot)
+            zz = dot(z, z)
+            if zz > _DEP_TOL:  # skip rows in the span of those kept
+                _append(problem, basis, R, w, z, zz)
+                active.append(r)
+                rows.append(g)
+        x, lam = _project(problem, active, rows, basis, R)
+        res = _residuals(problem, x)
+    else:
+        rows = [problem._vector(r) for r in active]
+        basis, R = [], []
+        _refactor(problem, basis, R, rows, 0)
         if lo is not None:
-            rates += d
-            rates += [-di for di in d]
-        for r, rate in enumerate(rates):
-            if rate >= -_STEP_EPS or r in work:
-                continue
-            if r < n_user:
-                gap = b[r] - dot(G[r], u)
-            elif r < n_user + dim:
-                gap = lo[r - n_user] - u[r - n_user]
-            else:
-                gap = u[r - n_user - dim] - hi[r - n_user - dim]
-            tr = gap / rate
-            if tr < 0.0:
-                tr = 0.0
-            if tr < t - 1e-15:
-                t = tr
-                blocker = r
-        u = [ui + t * di for ui, di in zip(u, d)]
-        if blocker >= 0:
-            work.append(blocker)
-        elif t >= 1.0:
-            # full unblocked step: next pass runs the dual check at x
-            u = x
+            res += map(sub, x, lo)
+            res += map(sub, hi, x)
 
-    if not optimal:
-        return QpSolution(
-            status="infeasible",
-            u=None,
-            iterations=iterations,
-            iteration_limited=True,
-            phase1_slack=phase1_slack,
-        )
+    iterations = 0
+    exact = True  # x is the projection onto A, not a sum of steps
+    while True:
+        if min(map(add, res, tol)) >= 0.0:
+            if exact:
+                break
+            # The steps accumulate rounding: the answer is the projection
+            # onto the final A, checked again.
+            x, lam = _project(problem, active, rows, basis, R)
+            res = _residuals(problem, x)
+            exact = True
+            continue
+        # The most violated row p enters A, after the rows blocking it leave.
+        s = min(res)  # its residual, < 0
+        p = res.index(s)
+        g = problem._vector(p)
+        lam_p = 0.0
+        while True:
+            if iterations == MAX_ITER:
+                return QpSolution(status="infeasible", u=None, iterations=iterations,
+                                  iteration_limited=True)
+            iterations += 1
+            w, z = _orth(basis, g, dot)
+            zz = dot(z, z)
+            r = _back(R, w)
+            # the first active multiplier to reach 0 (ties to the earliest entry)
+            t, k = math.inf, -1
+            for j, rj in enumerate(r):
+                if rj > 0.0:
+                    tj = max(lam[j], 0.0) / rj
+                    if tj < t:
+                        t, k = tj, j
+            if zz > _DEP_TOL and -s <= t * zz:  # p reaches its bound first
+                t, k = -s / zz, -1
+            elif k < 0:  # g_p = G_A^T r with r <= 0: no point meets A and p
+                slack = linprog(*problem._stacked())[1]
+                return QpSolution(status="infeasible", u=None, iterations=iterations,
+                                  phase1_slack=slack)
+            lam = [lj - t * rj for lj, rj in zip(lam, r)]
+            lam_p += t
+            if zz > _DEP_TOL:
+                x = [xi + t * zi for xi, zi in zip(x, z)]
+                s += t * zz
+            if k < 0:
+                break
+            del active[k], rows[k], lam[k]
+            _refactor(problem, basis, R, rows, k)
+        _append(problem, basis, R, w, z, zz)
+        active.append(p)
+        rows.append(g)
+        lam.append(lam_p)
+        res = _residuals(problem, x)
+        exact = False
 
-    order = sorted(range(len(work)), key=work.__getitem__)
-    active = tuple(work[k] for k in order)
+    order = sorted(range(len(active)), key=active.__getitem__)
+    active = tuple(active[k] for k in order)
     lam = [lam[k] for k in order]
-    # a solve that ends on its starting point has its residuals already
-    res = checked[1] if checked is not None and checked[0] is u else None
     return QpSolution(
         status="optimal",
-        u=np.array(u),
+        u=np.array(x),
         active_set=active,
-        kkt_residual=_kkt_residual(problem, u, active, lam, res),
+        kkt_residual=_kkt_residual(problem, x, active, lam, res),
         iterations=iterations,
-        phase1_slack=phase1_slack,
     )
-
-
-def verify_kkt(problem: QpProblem, u, active_set=()) -> float:
-    """Max KKT violation (stationarity, primal, dual, complementarity) at u,
-    with least-squares multipliers on the rows active_set."""
-    u = np.asarray(u, dtype=float)
-    active = list(active_set)
-    lam = []
-    if active:
-        Ga = np.array([problem._vector(r) for r in active])
-        lam = np.linalg.lstsq(Ga.T, u - problem.target, rcond=None)[0].tolist()
-    return _kkt_residual(problem, u.tolist(), active, lam)

@@ -100,6 +100,10 @@ class ScenarioConfig:
             raise ScenarioError("geometry lengths must be positive")
         if self.lane_width / 2.0 > self.box_half:
             raise ScenarioError("lane centerlines must fall inside the box")
+        # opposing lanes are lane_width apart: at 2R >= lane_width two
+        # opposing vehicles could never pass each other safely
+        if 2.0 * self.controller.rff.ff.R >= self.lane_width:
+            raise ScenarioError("need 2 * controller.rff.ff.R < lane_width")
 
 
 def default_config(

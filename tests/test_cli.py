@@ -64,8 +64,9 @@ class TestConfigDocuments:
         assert cfg.controller.rff.ff.tau_bar == 5.0
 
     # A valid value other than the default for every leaf field of the tree.
+    # lane_width grows: 0.8 * 2.7 m would fall below 2R = 2.5 m
     OTHER = {"scenario": "one_left_turn", "cbf_kind": "zero", "mode": "decentralized",
-             "num_vehicles": 3, "seed": 7, "max_resamples": 9}
+             "num_vehicles": 3, "seed": 7, "max_resamples": 9, "lane_width": 3.0}
 
     @classmethod
     def leaves(cls, config, path=()):

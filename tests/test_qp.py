@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ffcbf
 from ffcbf import qp
-from ffcbf.qp import QpProblem, QpSolution, solve, verify_kkt
+from ffcbf.qp import QpProblem, QpSolution, solve
 
 
 def oracle(problem, feas_tol=1e-9, dual_tol=1e-9):
@@ -199,15 +199,14 @@ _ROW_KINDS = ("random", "zero", "degenerate", "duplicate", "opposite", "parallel
 def qp_cases(draw):
     """(problem, warm_start) with rows that are random, zero, degenerate
     (norm below the floor), or a duplicate, the opposite or a nearly parallel
-    copy of an earlier random row; warm starts may hold out-of-range and box
-    indices.
+    copy of an earlier random row (any number of copies of one row, so three
+    rows through one flat make degenerate vertices); warm starts may hold
+    out-of-range, repeated, box and degenerate indices and linearly
+    dependent rows.
 
-    Kept out, because the active-set method (without an anti-cycling rule)
-    can stall on them or stop short of the optimum, with or without numpy:
-    degenerate rows with a bound above 0 (solve() reads them as 0 . u >= lb,
-    the oracle as tiny real rows), a second copy of one row (three rows
-    through one flat make a degenerate vertex) and warm starts whose rows
-    are linearly dependent.
+    Degenerate rows only get a bound below 0: solve() reads a degenerate row
+    as 0 . u >= lb, the oracle as a tiny real row, so with lb > 0 the two
+    mean different problems.
     """
     dim = draw(st.integers(1, 6))
     vec = st.lists(_values(-3, 3), min_size=dim, max_size=dim)
@@ -215,7 +214,7 @@ def qp_cases(draw):
     for _ in range(draw(st.integers(0, 5))):
         kind = draw(st.sampled_from(_ROW_KINDS))
         if kind in ("duplicate", "opposite", "parallel") and bases:
-            c, lb = bases.pop(draw(st.integers(0, len(bases) - 1)))
+            c, lb = bases[draw(st.integers(0, len(bases) - 1))]
             if kind == "duplicate":
                 rows.append((list(c), lb))
             elif kind == "opposite":     # together with c: c . u == lb
@@ -238,17 +237,7 @@ def qp_cases(draw):
                draw(st.lists(_values(0, 6), min_size=dim, max_size=dim)))
     target = draw(st.lists(_values(-8, 8), min_size=dim, max_size=dim))
     prob = QpProblem(dim=dim, target=target, rows=rows, box=box)
-    G = prob._stacked()[0]
-    warm = draw(st.none() | st.lists(st.integers(-3, G.shape[0] + 3), max_size=6))
-    if warm is not None:  # drop in-range rows that are degenerate or dependent
-        kept, rows = [], []
-        for r in warm:
-            if 0 <= r < G.shape[0]:
-                if r in prob._degenerate or np.linalg.matrix_rank(G[rows + [r]]) == len(rows):
-                    continue
-                rows.append(r)
-            kept.append(r)
-        warm = kept
+    warm = draw(st.none() | st.lists(st.integers(-3, len(prob._tol) + 3), max_size=6))
     return prob, warm
 
 
@@ -264,57 +253,71 @@ class TestFloatKernelProperty:
         # violation between the oracle's 1e-9 and the solver's 1e-7.
         slack = highs_min_slack(*prob._stacked())
         assume(not 1e-12 < slack < 1e-6)
-        sol = solve(prob, warm_start=warm)
+        calls = []
+        real = qp.linprog
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qp, "linprog", lambda G, b: calls.append(1) or real(G, b))
+            sol = solve(prob, warm_start=warm)
         ref = oracle(prob)
         assert sol.status == ("infeasible" if ref is None else "optimal")
         if ref is not None:
             assert np.abs(sol.u - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
             assert sol.kkt_residual <= 1e-8
+            assert not calls  # the LP stays off feasible problems
+        elif max((prob._b[r] for r in prob._degenerate), default=0.0) <= qp.FEAS_TOL:
+            # a verdict of the dual method: the LP runs once, to report the slack
+            assert len(calls) == 1 and sol.phase1_slack > qp.PHASE1_TOL
 
-    def test_singular_gram_falls_back_to_lstsq(self, monkeypatch):
-        calls = []
-        real = np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or real(*a, **k))
-        # the same violated row twice: both enter the starting working set
+    def test_same_row_twice(self):
+        # the second copy lies in the span of the first and never enters
         prob = QpProblem(dim=2, target=[0.0, 0.0], rows=(([1.0, 1.0], 2.0), ([1.0, 1.0], 2.0)))
         sol = solve(prob)
-        assert calls and sol.status == "optimal"
+        assert sol.status == "optimal"
         assert sol.u.tolist() == pytest.approx([1.0, 1.0], abs=1e-12)
         assert sol.kkt_residual <= 1e-12
 
-    # Two failures of the active-set method the generator leaves out.
-    @pytest.mark.xfail(strict=True, reason="solve() does not check its exit point: a warm start "
-                       "naming both bounds of one variable ends 'optimal' off the feasible set")
     def test_dependent_warm_start(self):
+        # a warm start naming both bounds of one variable keeps the first
         prob = QpProblem(dim=1, target=[-1.0], rows=(([2.0], -1.0),), box=([-1.0], [0.0]))
         sol = solve(prob, warm_start=(1, 2))
         assert sol.status == "optimal" and sol.u[0] == pytest.approx(-0.5, abs=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason="no anti-cycling rule: at this degenerate vertex (an "
-                       "equality pair and a nearly parallel row) the working set cycles to MAX_ITER")
     def test_degenerate_vertex(self):
+        # an equality pair and a nearly parallel row through the same point
         prob = QpProblem(dim=2, target=[0.0, 1.0], rows=(
             ([1.0, 2.0], 1.0), ([1.0, 1.9987700918464433], 1.0), ([-1.0, -2.0], -1.0)))
         sol = solve(prob)
         assert sol.status == "optimal" and sol.u.tolist() == pytest.approx([1.0, 0.0], abs=1e-9)
 
+    def test_nearly_parallel_active_pair(self):
+        # multipliers near 3e4 magnify any miss of the active rows in the KKT
+        # residual's complementarity term
+        prob = QpProblem(dim=2, target=[0.0, 0.0],
+                         rows=(([1.0, 0.24609375], 0.0), ([-2.25, -0.5625], 1.0)))
+        sol = solve(prob)
+        assert sol.status == "optimal" and sol.active_set == (0, 1)
+        assert sol.u.tolist() == pytest.approx([28.0, -1024.0 / 9.0], rel=1e-12)
+        assert sol.kkt_residual <= 1e-9
+
 
 class TestVerifyKkt:
+    """The KKT residual solve() reports, and the check behind it."""
+
     def test_optimal_residual_small(self):
         prob = QpProblem(dim=2, target=[3.0, 0.0], rows=(([1.0, 0.0], 4.0),))
         sol = solve(prob)
-        assert verify_kkt(prob, sol.u, sol.active_set) <= 1e-6
+        assert sol.active_set == (0,) and sol.kkt_residual <= 1e-12
 
     def test_perturbed_residual_large(self):
         prob = QpProblem(dim=2, target=[3.0, 0.0], rows=(([1.0, 0.0], 4.0),))
         sol = solve(prob)
         # move along the constraint surface (feasible direction): stationarity breaks
-        u = sol.u + np.array([0.0, 1e-2])
-        assert verify_kkt(prob, u, sol.active_set) > 1e-4
+        u = (sol.u + np.array([0.0, 1e-2])).tolist()
+        assert qp._kkt_residual(prob, u, sol.active_set, [1.0], qp._residuals(prob, u)) > 1e-4
 
     def test_unconstrained_zero_residual(self):
-        prob = QpProblem(dim=3, target=[1.0, 2.0, 3.0])
-        assert verify_kkt(prob, [1.0, 2.0, 3.0]) == 0.0
+        sol = solve(QpProblem(dim=3, target=[1.0, 2.0, 3.0]))
+        assert sol.u.tolist() == [1.0, 2.0, 3.0] and sol.kkt_residual == 0.0
 
 
 def per_row_reference(dim, rows, box):

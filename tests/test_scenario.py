@@ -308,6 +308,15 @@ class TestSafetyRadius:
         assert np.allclose(r.trajectory.h0, h0_log, atol=1e-9)
         assert r.min_h0 == r.trajectory.h0.min()
 
+    def test_radius_too_wide_for_opposing_lanes(self):
+        # 2R = 3.2 m > lane_width = 2.7 m: opposing vehicles cannot pass
+        wide = ControllerConfig(rff=RffParams(ff=FfParams(R=1.6)))
+        with pytest.raises(ScenarioError, match="lane_width"):
+            ScenarioConfig(controller=wide)
+        with pytest.raises(ScenarioError, match="lane_width"):
+            ScenarioConfig(controller=ControllerConfig(rff=RffParams(ff=FfParams(R=1.35))))
+        ScenarioConfig(controller=wide, lane_width=3.3)
+
 
 class TestRunBatch:
     def test_single_trial_rates(self):
