@@ -43,7 +43,6 @@ from .scenario import (
     build_world,
     check_assumption1,
     default_config,
-    detect_deadlock,
     randomize_initial,
     run_batch,
     run_trial,

@@ -29,16 +29,21 @@ which is the standard treatment for relative-degree-2 distance constraints.
 
 All functions are written in plain float math (they sit on the per-tick
 control path) and take each vehicle's trig and planar velocity from
-VehicleState.trig, which is computed once per state however many pair rows
-read it.
+VehicleState.trig, which is computed once per state.  A QP builder reads
+each vehicle's per-tick terms (position, velocity, S columns and drift) once
+per tick with _vehicle_planar and hands those tuples to constraint_row for
+every pair the vehicle is in; h_ff and h_rff build the same tuples' leading
+(x, y, xdot, ydot) from the states, so the pair formula (_pair_core) has one
+copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .dynamics import VehicleParams, VehicleState
+from .dynamics import VehicleState
 
 __all__ = [
     "FfParams",
@@ -86,8 +91,7 @@ class RffParams:
             raise ValueError(f"invalid RffParams {self}")
 
 
-@dataclass(frozen=True)
-class BarrierEval:
+class BarrierEval(NamedTuple):
     """Barrier value and its QP constraint row phi + gamma_i*a_i + gamma_j*a_j >= 0.
 
     phi bundles every term not multiplied by a decision variable: the drift
@@ -145,13 +149,13 @@ def tau_hat(tau_star_hat: float, tau_bar: float, k: float) -> float:
     return ts * k0 + (tau_bar - ts) * kt
 
 
-def _pair_core(state_i: VehicleState, state_j: VehicleState, ff: FfParams):
-    """(xi_x, xi_y, nu_x, nu_y, p, q, D, ts, th) for a vehicle pair."""
-    xi_x = state_i.x - state_j.x
-    xi_y = state_i.y - state_j.y
-    ti, tj = state_i.trig, state_j.trig
-    nu_x = ti[0] - tj[0]
-    nu_y = ti[1] - tj[1]
+def _pair_core(pi, pj, ff: FfParams):
+    """(xi_x, xi_y, nu_x, nu_y, p, q, D, ts, K0, Kt, th) for a vehicle pair
+    whose terms pi, pj start with (x, y, xdot, ydot)."""
+    xi_x = pi[0] - pj[0]
+    xi_y = pi[1] - pj[1]
+    nu_x = pi[2] - pj[2]
+    nu_y = pi[3] - pj[3]
     p = xi_x * nu_x + xi_y * nu_y
     q = nu_x * nu_x + nu_y * nu_y
     D = q + ff.epsilon
@@ -163,9 +167,15 @@ def _pair_core(state_i: VehicleState, state_j: VehicleState, ff: FfParams):
     return xi_x, xi_y, nu_x, nu_y, p, q, D, ts, K0, Kt, th
 
 
+def _position_velocity(state: VehicleState):
+    """(x, y, xdot, ydot) of a vehicle, the leading terms _pair_core reads."""
+    return state.x, state.y, state.trig[0], state.trig[1]
+
+
 def h_ff(state_i: VehicleState, state_j: VehicleState, ff: FfParams) -> float:
     """Future-focused barrier: predicted squared distance at tau_hat minus (2R)^2."""
-    xi_x, xi_y, nu_x, nu_y, p, q, _, _, _, _, th = _pair_core(state_i, state_j, ff)
+    xi_x, xi_y, nu_x, nu_y, p, q, _, _, _, _, th = _pair_core(
+        _position_velocity(state_i), _position_velocity(state_j), ff)
     base = xi_x * xi_x + xi_y * xi_y - 4.0 * ff.R * ff.R
     return base + 2.0 * th * p + th * th * q
 
@@ -177,16 +187,18 @@ def _k0_gain(th: float, rff: RffParams) -> float:
 def h_rff(state_i: VehicleState, state_j: VehicleState, rff: RffParams) -> float:
     """Relaxed future-focused barrier H = h_ff + k0(tau_hat) * h_0."""
     ff = rff.ff
-    xi_x, xi_y, nu_x, nu_y, p, q, _, _, _, _, th = _pair_core(state_i, state_j, ff)
+    xi_x, xi_y, nu_x, nu_y, p, q, _, _, _, _, th = _pair_core(
+        _position_velocity(state_i), _position_velocity(state_j), ff)
     base = xi_x * xi_x + xi_y * xi_y - 4.0 * ff.R * ff.R
     return base + 2.0 * th * p + th * th * q + _k0_gain(th, rff) * base
 
 
 def _vehicle_planar(state: VehicleState, lr: float):
-    """Per-vehicle planar terms: xd, yd, S columns (s_w, s_a) and drift."""
+    """Per-vehicle terms of the pair rows, computed once per vehicle per tick:
+    (x, y, xd, yd, s_w columns, s_a columns, drift)."""
     xd, yd, tb, sax, say, swx, swy = state.trig
     psid = (state.v / lr) * tb
-    return xd, yd, swx, swy, sax, say, -yd * psid, xd * psid
+    return state.x, state.y, xd, yd, swx, swy, sax, say, -yd * psid, xd * psid
 
 
 def _sech2(x: float) -> float:
@@ -198,19 +210,19 @@ def _sech2(x: float) -> float:
 
 def constraint_row(
     kind: str,
-    state_i: VehicleState,
-    state_j: VehicleState,
+    planar_i: tuple,
+    planar_j: tuple,
     exogenous_omega_i: float,
     exogenous_omega_j: float,
     alpha_gain: float,
-    vehicle: VehicleParams,
     rff: RffParams,
     hocbf_gain: float = 2.1,
     zero_margin: float = 0.05,
 ) -> BarrierEval:
     """Assemble the QP row of a pairwise barrier for decision variables (a_i, a_j).
 
-    kind selects the barrier: "zero" (second-order distance row), "ff", or
+    planar_i and planar_j are the two vehicles' _vehicle_planar terms.  kind
+    selects the barrier: "zero" (second-order distance row), "ff", or
     "rff".  The fixed slip-angle rates enter the differential acceleration
     through the omega columns of each vehicle's S matrix and are folded into
     phi together with the class-K term alpha_gain * value.
@@ -235,10 +247,9 @@ def constraint_row(
     derivative of the floor branch is used.
     """
     ff = rff.ff
-    xi_x, xi_y, nu_x, nu_y, p, q, D, ts, K0, Kt, th = _pair_core(state_i, state_j, ff)
-    lr = vehicle.lr
-    xdi, ydi, swxi, swyi, saxi, sayi, daxi, dayi = _vehicle_planar(state_i, lr)
-    xdj, ydj, swxj, swyj, saxj, sayj, daxj, dayj = _vehicle_planar(state_j, lr)
+    xi_x, xi_y, nu_x, nu_y, p, q, D, ts, K0, Kt, th = _pair_core(planar_i, planar_j, ff)
+    _, _, _, _, swxi, swyi, saxi, sayi, daxi, dayi = planar_i
+    _, _, _, _, swxj, swyj, saxj, sayj, daxj, dayj = planar_j
     # Differential acceleration with accelerations a_i = a_j = 0:
     # alpha0 = alpha_drift + s_w_i * omega_i - s_w_j * omega_j
     a0x = (daxi - daxj) + swxi * exogenous_omega_i - swxj * exogenous_omega_j
@@ -260,7 +271,7 @@ def constraint_row(
         )
         gamma_i = 2.0 * (xi_x * saxi + xi_y * sayi)
         gamma_j = -2.0 * (xi_x * saxj + xi_y * sayj)
-        return BarrierEval(value=base, phi=phi, gamma_i=gamma_i, gamma_j=gamma_j)
+        return BarrierEval(base, phi, gamma_i, gamma_j)
 
     if kind not in ("ff", "rff"):
         raise ValueError(f"unknown barrier kind {kind!r}")
@@ -292,6 +303,4 @@ def constraint_row(
     drift = c0 + cx * a0x + cy * a0y
     gamma_i = cx * saxi + cy * sayi
     gamma_j = -(cx * saxj + cy * sayj)
-    return BarrierEval(
-        value=value, phi=drift + alpha_gain * value, gamma_i=gamma_i, gamma_j=gamma_j
-    )
+    return BarrierEval(value, drift + alpha_gain * value, gamma_i, gamma_j)

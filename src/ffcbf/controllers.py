@@ -18,6 +18,13 @@ through one strictly convex QP per tick:
   keep both agents' drift but only the ego's gamma coefficient, and a small
   epsilon is subtracted from each row's left-hand side.
 
+Each builder computes every vehicle's planar terms (barriers._vehicle_planar)
+once per tick and reads them for all pair rows the vehicle is in.  Rows go
+to qp.QpProblem as qp.SparseRows, each row's nonzero (index, coeff) pairs:
+one per speed row and per decentralized pair row, two per centralized pair
+row.  The box is the same pair of tuples on every tick, so qp takes its
+bounds, arrays and tolerances from its box cache.
+
 An infeasible QP applies maximum braking and reports feasible=False.
 """
 
@@ -29,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qp
-from .barriers import RffParams, constraint_row, h_speed
+from .barriers import RffParams, _vehicle_planar, constraint_row, h_speed
 from .dynamics import ControlInput, VehicleParams, VehicleState
 
 __all__ = [
@@ -194,30 +201,28 @@ def build_centralized_qp(states, targets, config: ControllerConfig):
     """QP over all vehicles' accelerations; returns (problem, omegas, accels).
 
     Row order is stable across ticks (speed rows, then pair rows in (i, j)
-    lexicographic order) so active sets warm-start the next tick.
+    lexicographic order) so active sets warm-start the next tick.  Each
+    vehicle's planar terms are computed once and read by all its pair rows.
     """
     n = len(states)
     omegas, accels = _nominals(states, targets, config)
     rows = []
     for idx, st in enumerate(states):
         _, phi, gam = h_speed(st, config.v_max, config.speed_alpha)
-        coeff = [0.0] * n
-        coeff[idx] = gam
-        rows.append((coeff, -phi))
-    kind, alpha_gain, vehicle, rff = config.cbf_kind, config.alpha_gain, config.vehicle, config.rff
+        rows.append((((idx, gam),), -phi))
+    kind, alpha_gain, rff = config.cbf_kind, config.alpha_gain, config.rff
     hocbf_gain, zero_margin = config.hocbf_gain, config.zero_margin
+    lr = config.vehicle.lr
+    planar = [_vehicle_planar(st, lr) for st in states]
     for i in range(n):
         for j in range(i + 1, n):
-            ev = constraint_row(
-                kind, states[i], states[j], omegas[i], omegas[j],
-                alpha_gain, vehicle, rff, hocbf_gain, zero_margin,
+            _, phi, gamma_i, gamma_j = constraint_row(
+                kind, planar[i], planar[j], omegas[i], omegas[j],
+                alpha_gain, rff, hocbf_gain, zero_margin,
             )
-            coeff = [0.0] * n
-            coeff[i] = ev.gamma_i
-            coeff[j] = ev.gamma_j
-            rows.append((coeff, -ev.phi))
-    box = ([-config.a_bar] * n, [config.a_bar] * n)
-    problem = qp.QpProblem(dim=n, target=accels, rows=rows, box=box)
+            rows.append((((i, gamma_i), (j, gamma_j)), -phi))
+    problem = qp.QpProblem(dim=n, target=accels, rows=qp.SparseRows(rows),
+                           box=((-config.a_bar,) * n, (config.a_bar,) * n))
     return problem, omegas, accels
 
 
@@ -241,7 +246,9 @@ def build_decentralized_qp(ego_index, states, target_ego, config: ControllerConf
     w0, a0 = nominal_control(ego, target_ego, config.lqr_gain, config.vehicle, config.v_eps)
     w_star = saturate_omega(w0, config.omega_bar)
     _, phi, gam = h_speed(ego, config.v_max, config.speed_alpha)
-    rows = [([gam], -phi)]
+    rows = [(((0, gam),), -phi)]
+    lr = config.vehicle.lr
+    ego_planar = _vehicle_planar(ego, lr)
     for j, other in enumerate(states):
         if j == ego_index:
             continue
@@ -249,13 +256,12 @@ def build_decentralized_qp(ego_index, states, target_ego, config: ControllerConf
         # keeps both drift terms (neighbor inputs taken as zero) and only the
         # ego's acceleration coefficient.
         ev = constraint_row(
-            config.cbf_kind, ego, other, w_star, 0.0,
-            config.alpha_gain, config.vehicle, config.rff, config.hocbf_gain,
-            config.zero_margin,
+            config.cbf_kind, ego_planar, _vehicle_planar(other, lr), w_star, 0.0,
+            config.alpha_gain, config.rff, config.hocbf_gain, config.zero_margin,
         )
-        rows.append(([ev.gamma_i], -(ev.phi - config.decentral_eps)))
-    box = ([-config.a_bar], [config.a_bar])
-    problem = qp.QpProblem(dim=1, target=[a0], rows=rows, box=box)
+        rows.append((((0, ev.gamma_i),), -(ev.phi - config.decentral_eps)))
+    problem = qp.QpProblem(dim=1, target=[a0], rows=qp.SparseRows(rows),
+                           box=((-config.a_bar,), (config.a_bar,)))
     return problem, w_star, a0
 
 

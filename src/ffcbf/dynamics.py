@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "VehicleState",
     "VehicleParams",
@@ -68,9 +66,6 @@ class VehicleState:
         say = s + c * tb
         object.__setattr__(
             self, "trig", (v * sax, v * say, tb, sax, say, -v * s * sec2, v * c * sec2))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.psi, self.beta, self.v])
 
 
 @dataclass(frozen=True)

@@ -29,15 +29,21 @@ dense simplex) runs only after an infeasible verdict, to report the slack.
 
 Problems here are tiny (a handful of variables, tens of rows) and one is
 built and solved on every control tick, where the fixed cost of a numpy call
-exceeds the arithmetic it does.  So the kernel works in plain Python floats:
-QpProblem normalizes its rows once into float lists (squared norms summed in
-numpy's pairwise order, so they equal the np.linalg.norm scaling bit for
-bit); box bounds stay bounds, read coordinate by coordinate (a box row that
-enters A is expanded to +-e_i there); dot products accumulate left to right
-from 0.0; and G_A^T = Q R is kept factored by modified Gram-Schmidt,
-extended as a row enters and redone from a row that leaves.  numpy only
-holds the public target, box and solution arrays and runs the LP, so the
-same bits come out on any machine, whatever BLAS numpy uses.
+exceeds the arithmetic it does.  So the kernel works in plain Python floats.
+QpProblem takes rows in two forms: dense (coeffs, lower_bound) rows, which
+it validates and converts, or SparseRows, each row's nonzero (index, coeff)
+pairs, which the controllers build on every tick.  One routine normalizes
+both into float lists, with squared norms summed so that a dense row equals
+the np.linalg.norm scaling bit for bit and, for dim < 8, a sparse row its
+dense form.  Box bounds stay bounds, read coordinate by coordinate (a box
+row that enters A is expanded to +-e_i there); a box's bound tuples,
+read-only arrays and tolerances are computed once and kept in a small
+cache, as the controllers pass the same box every tick.  Dot products
+accumulate left to right from 0.0, and G_A^T = Q R is kept factored by
+modified Gram-Schmidt, extended as a row enters and redone from a row that
+leaves.  numpy only holds the public target, box and solution arrays and
+runs the LP, so the same bits come out on any machine, whatever BLAS numpy
+uses.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from operator import add, le, mul, sub
 
 import numpy as np
 
-__all__ = ["QpProblem", "QpSolution", "solve"]
+__all__ = ["QpProblem", "QpSolution", "SparseRows", "solve"]
 
 FEAS_TOL = 1e-8        # row feasibility, absolute + relative in the bound
 DUAL_TOL = 1e-9        # multipliers may be this negative at the optimum
@@ -192,18 +198,88 @@ def _kernels(n: int):
     )
 
 
+class SparseRows(tuple):
+    """QpProblem rows given by their nonzeros, the form the controllers build.
+
+    Each entry is (((index, coeff), ...), lower_bound) with indices strictly
+    increasing in [0, dim); a coefficient not listed is zero.  A speed-limit
+    row has one nonzero and a pair row two.
+    """
+
+    __slots__ = ()
+
+
+def _normalize(dim: int, rows) -> tuple:
+    """(G, b, degenerate, check) of rows in the SparseRows form.
+
+    Each row is scaled by its norm, or kept as given (and its index recorded
+    in degenerate) when the norm is below _NORM_EPS.  The squared norm of a
+    row with fewer than 8 listed entries is summed from 0.0 left to right,
+    and of a longer one in numpy's pairwise order.  Adding +0.0 is exact, so
+    for dim < 8 a sparse row normalizes to the bits of its dense form, and a
+    dense row listing every entry to those of np.linalg.norm.  check is the
+    sum of every squared norm and bound: non-finite if any value is.
+    """
+    scaled = _kernels(dim)[2]
+    G, b, degenerate = [], [], []
+    check = 0.0
+    for pairs, lb in rows:
+        row = [0.0] * dim
+        sq, last = 0.0, -1
+        for i, c in pairs:
+            if not last < i < dim:
+                raise ValueError(f"row indices {[i for i, _ in pairs]} not increasing in [0, {dim})")
+            row[i] = c
+            sq += c * c
+            last = i
+        if len(pairs) >= 8:  # np.linalg.norm's order
+            sq = _pairwise_sum([c * c for _, c in pairs])
+        check += sq
+        check += lb
+        norm = math.sqrt(sq)
+        if norm <= _NORM_EPS:
+            degenerate.append(len(b))
+            G.append(row)
+            b.append(lb)
+        else:
+            G.append(scaled(row, norm))
+            b.append(lb / norm)
+    return G, b, degenerate, check
+
+
+def _box_terms(lo: tuple, hi: tuple) -> tuple:
+    """(lo, hi, read-only arrays, tolerances) of a validated box."""
+    lo, hi = tuple(map(float, lo)), tuple(map(float, hi))
+    if not all(map(math.isfinite, lo + hi)):
+        raise ValueError("non-finite box")
+    if any(map(float.__gt__, lo, hi)):
+        raise ValueError("box lower > upper")
+    arrays = (np.array(lo), np.array(hi))
+    for a in arrays:
+        a.flags.writeable = False
+    return lo, hi, arrays, tuple(FEAS_TOL * (1.0 + abs(x)) for x in lo + hi)
+
+
+# Controllers pass the same box on every tick.  Keys compare by value, and
+# -0.0 == 0.0, so a box with a zero bound bypasses the cache to keep its sign.
+_cached_box_terms = functools.lru_cache(maxsize=64)(_box_terms)
+
+
 @dataclass(frozen=True)
 class QpProblem:
     """1/2 ||u - target||^2 under rows coeff.u >= lower_bound and box bounds.
 
     rows is a sequence of (coeffs, lower_bound) with coeffs any length-dim
-    sequence; box is (lower, upper) sequences or None for an unbounded
-    variable vector.  Every input is validated: non-finite values, wrong
-    shapes and lower > upper raise ValueError.
+    sequence, or a SparseRows; box is (lower, upper) sequences or None for an
+    unbounded variable vector.  Every input is validated: non-finite values,
+    wrong shapes, sparse indices out of range or out of order and lower >
+    upper raise ValueError.
 
     Internal rows are indexed as in QpSolution.active_set: the user's rows
     (normalized, _G and _b), then the box lower bounds (_lo), then the upper
-    bounds (_hi); _tol holds the feasibility tolerance of each.
+    bounds (_hi); _tol holds the feasibility tolerance of each.  Both row
+    forms go through _normalize, and a box's bounds, arrays and tolerances
+    are computed once and cached.
     """
 
     dim: int
@@ -212,8 +288,8 @@ class QpProblem:
     box: tuple | None = None
 
     def __post_init__(self) -> None:
-        # Built on every control tick: one pass over the rows converts,
-        # normalizes and sums them into one finiteness check.
+        # Built on every control tick: one pass over the rows normalizes them
+        # and sums them into one finiteness check.
         dim = self.dim
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
@@ -221,66 +297,47 @@ class QpProblem:
         if target.shape != (dim,):
             raise ValueError(f"target shape {target.shape} != ({dim},)")
         u0 = target.tolist()
-        floats, dot, scaled = _kernels(dim)
-        rows = tuple(self.rows)
-        G, b, degenerate = [], [], []
-        # A NaN or inf in any input makes check non-finite (so does an
-        # overflow of finite values, which the exact checks below let pass).
-        check = sum(u0)
+        rows = self.rows
         try:
-            for coeffs, lb in rows:
-                if len(coeffs) != dim:
-                    raise ValueError(f"row length {len(coeffs)} != {dim}")
-                c = floats(coeffs)
-                lb = float(lb)
-                sq = dot(c, c) if dim < 8 else _pairwise_sum([x * x for x in c])
-                check += sq
-                check += lb
-                norm = math.sqrt(sq)
-                if norm <= _NORM_EPS:
-                    degenerate.append(len(b))
-                    G.append(c)
-                    b.append(lb)
-                else:
-                    G.append(scaled(c, norm))
-                    b.append(lb / norm)
+            if type(rows) is SparseRows:
+                sparse = rows
+            else:
+                rows = tuple(rows)
+                floats = _kernels(dim)[0]
+                sparse = []
+                for coeffs, lb in rows:
+                    if len(coeffs) != dim:
+                        raise ValueError(f"row length {len(coeffs)} != {dim}")
+                    sparse.append((tuple(enumerate(floats(coeffs))), float(lb)))
+            G, b, degenerate, check = _normalize(dim, sparse)
         except (TypeError, ValueError) as exc:  # ragged, scalar or non-numeric rows
             raise ValueError(f"malformed rows: {exc}") from None
-        lo = hi = None
+        # A NaN or inf in any input makes check non-finite (so does an
+        # overflow of finite values, which the exact checks below let pass).
+        check += sum(u0)
+        if not math.isfinite(check):
+            if not all(map(math.isfinite, u0)):
+                raise ValueError("non-finite target")
+            for pairs, lb in sparse:
+                if not all(map(math.isfinite, (*(c for _, c in pairs), lb))):
+                    raise ValueError("non-finite row")
+        tol = [FEAS_TOL * (1.0 + abs(x)) for x in b]
+        lo = hi = box = None
         if self.box is not None:
             try:
                 lo, hi = self.box
                 if len(lo) != dim or len(hi) != dim:
-                    raise ValueError
-                lo, hi = floats(lo), floats(hi)
-            except (TypeError, ValueError):
-                raise ValueError("box shape mismatch") from None
-            check += sum(lo) + sum(hi)
-        if not math.isfinite(check):
-            if not all(map(math.isfinite, u0)):
-                raise ValueError("non-finite target")
-            if lo is not None and not all(map(math.isfinite, lo + hi)):
-                raise ValueError("non-finite box")
-            for coeffs, lb in rows:
-                if not all(map(math.isfinite, map(float, (*coeffs, lb)))):
-                    raise ValueError("non-finite row")
-        tol = [FEAS_TOL * (1.0 + abs(x)) for x in b]
-        if lo is not None:
-            if any(map(float.__gt__, lo, hi)):
-                raise ValueError("box lower > upper")
-            tol += [FEAS_TOL * (1.0 + abs(x)) for x in lo + hi]
-        set_field = object.__setattr__
-        set_field(self, "target", target)
-        set_field(self, "rows", rows)
-        set_field(self, "box", None if lo is None else (np.array(lo), np.array(hi)))
-        set_field(self, "_u0", u0)
-        set_field(self, "_G", G)
-        set_field(self, "_b", b)
-        set_field(self, "_lo", lo)
-        set_field(self, "_hi", hi)
-        set_field(self, "_tol", tol)
-        set_field(self, "_degenerate", tuple(degenerate))
-        set_field(self, "_dot", dot)
+                    raise ValueError("box shape mismatch")
+                lo, hi = tuple(lo), tuple(hi)
+                terms = _box_terms if 0.0 in lo or 0.0 in hi else _cached_box_terms
+                lo, hi, box, box_tol = terms(lo, hi)
+            except TypeError:  # scalar, unhashable or non-numeric bounds
+                raise ValueError("malformed box") from None
+            tol += box_tol
+        # frozen: the fields are set through the instance dict, in one call
+        vars(self).update(
+            target=target, rows=rows, box=box, _u0=u0, _G=G, _b=b, _lo=lo, _hi=hi,
+            _tol=tol, _degenerate=tuple(degenerate), _dot=_kernels(dim)[1])
 
     def _vector(self, r: int) -> list:
         """Normalized coefficients of internal row r (a box row is +-e_i)."""

@@ -41,7 +41,6 @@ __all__ = [
     "build_world",
     "randomize_initial",
     "check_assumption1",
-    "detect_deadlock",
     "run_trial",
     "run_batch",
     "default_config",
@@ -355,17 +354,6 @@ class _StopClock:
             return False
         self._run += 1
         return (self._run - 1) * self._dt >= self._end
-
-
-def detect_deadlock(speeds, exited, dt: float, stop_speed: float = 0.01,
-                    window: float = 3.0) -> bool:
-    """True iff some contiguous stretch spanning >= window seconds has every
-    not-yet-exited vehicle slower than stop_speed."""
-    speeds = np.asarray(speeds, dtype=float)
-    exited = np.asarray(exited, dtype=bool)
-    stopped = np.all((speeds < stop_speed) | exited, axis=1) & ~np.all(exited, axis=1)
-    clock = _StopClock(dt, window)
-    return any(clock.tick(flag) for flag in stopped.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,11 @@ def random_state(rng, pos=30.0, vmax=10.0):
     )
 
 
+def planar(state):
+    """The per-vehicle terms a QP builder hands to constraint_row."""
+    return _vehicle_planar(state, VEH.lr)
+
+
 def pair_tau_hat(a, b):
     """tau_hat of a vehicle pair through the scalar paper pieces."""
     (xa, ya), (xb, yb) = planar_velocity(a), planar_velocity(b)
@@ -179,14 +184,14 @@ class TestRelativeKinematics:
     @staticmethod
     def planar_accel(state, inp):
         """drift + S @ [omega, a] of one vehicle, as the pair rows read it."""
-        _, _, swx, swy, sax, say, dax, day = _vehicle_planar(state, VEH.lr)
+        _, _, _, _, swx, swy, sax, say, dax, day = planar(state)
         return np.array([dax + swx * inp.omega + sax * inp.a,
                          day + swy * inp.omega + say * inp.a])
 
     def test_identical_states(self):
         # xi = nu = 0: the distance row has no acceleration coefficients
         a = VehicleState(1, 2, 0.5, 0.1, 3)
-        ev = constraint_row("zero", a, a, 0.3, -0.2, 10.0, VEH, RFF, zero_margin=0.0)
+        ev = constraint_row("zero", planar(a), planar(a), 0.3, -0.2, 10.0, RFF, zero_margin=0.0)
         assert ev.gamma_i == ev.gamma_j == 0.0
         assert ev.value == h0(a, a, FF.R) == -4.0 * FF.R ** 2
 
@@ -194,9 +199,10 @@ class TestRelativeKinematics:
         # a stopped neighbor's slip-rate column is zero: its omega cannot move the row
         a = VehicleState(0, 0, 0, 0, 3)
         b = VehicleState(5, 5, 0.7, 0.2, 0)
-        assert b.trig[5:7] == (0.0, 0.0)
+        assert b.trig[5:7] == planar(b)[4:6] == (0.0, 0.0)
         for kind in ("zero", "ff", "rff"):
-            rows = [constraint_row(kind, a, b, 0.4, wb, 10.0, VEH, RFF) for wb in (-1.0, 1.0)]
+            rows = [constraint_row(kind, planar(a), planar(b), 0.4, wb, 10.0, RFF)
+                    for wb in (-1.0, 1.0)]
             assert rows[0] == rows[1], kind
 
     def test_alpha_matches_finite_difference(self):
@@ -251,7 +257,8 @@ class TestConstraintRow:
                 if abs(th - (1.0 + RFF.k0_floor)) < 1e-3:
                     continue  # measure-zero kink of k0: one-sided by design
             (a_mid, b_mid), fd = self.fd_hdot(kind, a, b, ua, ub)
-            ev = constraint_row(kind, a_mid, b_mid, ua.omega, ub.omega, self.ALPHA, VEH, RFF)
+            ev = constraint_row(kind, planar(a_mid), planar(b_mid), ua.omega, ub.omega,
+                                self.ALPHA, RFF)
             pred = row_prediction(kind, ev, self.ALPHA, ua.a, ub.a)
             assert abs(fd - pred) <= 1e-4 * (1.0 + max(abs(fd), abs(pred))), (kind, a, b)
             n_checked += 1
@@ -274,8 +281,8 @@ class TestConstraintRow:
 
             fd = (h0dot(a_far, b_far) - h0dot(a, b)) / (2 * delta)
             g = 1.7
-            ev = constraint_row("zero", a_mid, b_mid, ua.omega, ub.omega, self.ALPHA,
-                                VEH, RFF, hocbf_gain=g, zero_margin=0.0)
+            ev = constraint_row("zero", planar(a_mid), planar(b_mid), ua.omega, ub.omega,
+                                self.ALPHA, RFF, hocbf_gain=g, zero_margin=0.0)
             row_h0ddot = (ev.phi + ev.gamma_i * ua.a + ev.gamma_j * ub.a
                           - 4 * g * 0.5 * h0dot(a_mid, b_mid)
                           - g ** 2 * ev.value)
@@ -297,7 +304,7 @@ class TestConstraintRow:
             ts = tau_star_hat(xi, nu, FF.epsilon)
             if not 0.05 <= ts <= FF.tau_bar - 0.05:
                 continue
-            ev = constraint_row("ff", a, b, 0.0, 0.0, self.ALPHA, VEH, RFF)
+            ev = constraint_row("ff", planar(a), planar(b), 0.0, 0.0, self.ALPHA, RFF)
             assert abs(ev.phi - self.ALPHA * ev.value) <= 1e-6
             checked += 1
 
@@ -307,8 +314,8 @@ class TestConstraintRow:
         for _ in range(50):
             a, b = random_state(rng), random_state(rng)
             wa, wb = rng.uniform(-1, 1), rng.uniform(-1, 1)
-            ev = constraint_row(kind, a, b, wa, wb, self.ALPHA, VEH, RFF)
-            sw = constraint_row(kind, b, a, wb, wa, self.ALPHA, VEH, RFF)
+            ev = constraint_row(kind, planar(a), planar(b), wa, wb, self.ALPHA, RFF)
+            sw = constraint_row(kind, planar(b), planar(a), wb, wa, self.ALPHA, RFF)
             assert sw.value == pytest.approx(ev.value, rel=1e-12, abs=1e-12)
             assert sw.phi == pytest.approx(ev.phi, rel=1e-9, abs=1e-9)
             assert sw.gamma_i == pytest.approx(ev.gamma_j, rel=1e-12, abs=1e-12)
@@ -317,4 +324,4 @@ class TestConstraintRow:
     def test_unknown_kind(self):
         a = VehicleState(0, 0, 0, 0, 1)
         with pytest.raises(ValueError):
-            constraint_row("bogus", a, a, 0, 0, 10.0, VEH, RFF)
+            constraint_row("bogus", planar(a), planar(a), 0, 0, 10.0, RFF)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ffcbf.barriers import FfParams, RffParams, constraint_row, h0
+from ffcbf.barriers import FfParams, RffParams, _vehicle_planar, constraint_row, h0
 from ffcbf.controllers import (
     ControllerConfig,
     NominalTarget,
@@ -31,6 +31,17 @@ def target_for(state, speed=None):
     return NominalTarget(np.array([
         state.x, state.y, v * math.cos(state.psi), v * math.sin(state.psi),
     ]))
+
+
+def dense_rows(problem):
+    """(coeffs, lower_bound) of every row of a builder's SparseRows problem."""
+    rows = []
+    for pairs, lb in problem.rows:
+        coeffs = np.zeros(problem.dim)
+        for i, c in pairs:
+            coeffs[i] = c
+        rows.append((coeffs, lb))
+    return rows
 
 
 class TestLqrGain:
@@ -129,7 +140,7 @@ class TestCentralizedStep:
         res = centralized_step([a, b], tgts, cfg)
         assert res.feasible
         u = np.array([inp.a for inp in res.inputs])
-        for coeffs, lb in problem.rows:
+        for coeffs, lb in dense_rows(problem):
             assert np.dot(coeffs, u) >= lb - 1e-6 * (1.0 + abs(lb))
 
     def test_filter_minimality(self):
@@ -142,7 +153,7 @@ class TestCentralizedStep:
         tgts = [target_for(s) for s in sts]
         problem, _, accels = build_centralized_qp(sts, tgts, cfg)
         clamped = np.clip(accels, -cfg.a_bar, cfg.a_bar)
-        assert all(np.dot(c, clamped) >= lb for c, lb in problem.rows)
+        assert all(np.dot(c, clamped) >= lb for c, lb in dense_rows(problem))
         res = centralized_step(sts, tgts, cfg)
         for u, a0 in zip(res.inputs, clamped):
             assert u.a == pytest.approx(a0, abs=1e-8)
@@ -239,20 +250,21 @@ class TestDecentralizedStep:
             ]
             inputs = []
             rows = []
+            planar = [_vehicle_planar(s, VEH.lr) for s in states]
             for i in range(2):
                 res = decentralized_step(i, states, tgts[i], cfg)
                 assert res.feasible
                 inputs.append(res.inputs[0])
                 rows.append(constraint_row(
-                    "ff", states[i], states[1 - i], res.inputs[0].omega, 0.0,
-                    cfg.alpha_gain, VEH, cfg.rff,
+                    "ff", planar[i], planar[1 - i], res.inputs[0].omega, 0.0,
+                    cfg.alpha_gain, cfg.rff,
                 ))
             # each ego row holds, so their sum does too
             for i in range(2):
                 assert rows[i].phi - cfg.decentral_eps + rows[i].gamma_i * inputs[i].a >= -1e-6
             full = constraint_row(
-                "ff", states[0], states[1], inputs[0].omega, inputs[1].omega,
-                cfg.alpha_gain, VEH, cfg.rff,
+                "ff", planar[0], planar[1], inputs[0].omega, inputs[1].omega,
+                cfg.alpha_gain, cfg.rff,
             )
             hdot = (full.phi - cfg.alpha_gain * full.value
                     + full.gamma_i * inputs[0].a + full.gamma_j * inputs[1].a)

@@ -11,6 +11,11 @@ PARAMS = VehicleParams()
 FF = FfParams()
 
 
+def as_array(state):
+    """z = [x, y, psi, beta, v] of a state."""
+    return np.array([state.x, state.y, state.psi, state.beta, state.v])
+
+
 def rollout(state, inp, params, dt, n):
     for _ in range(n):
         state = step(state, inp, params, dt)
@@ -19,7 +24,7 @@ def rollout(state, inp, params, dt, n):
 
 def derivative(state, inp, h=1e-7):
     """[xdot, ydot, psidot, betadot, vdot] as the forward difference of one step."""
-    return (step(state, inp, PARAMS, h).as_array() - state.as_array()) / h
+    return (as_array(step(state, inp, PARAMS, h)) - as_array(state)) / h
 
 
 def planar_accel(state, inp):
@@ -80,10 +85,10 @@ class TestStep:
         # halving dt should cut the terminal error by about 2^4
         s0 = VehicleState(0, 0, 0, 0.25, 2.0)
         u = ControlInput(0.05, 0.3)
-        ref = rollout(s0, u, PARAMS, 1e-5, 100000).as_array()
+        ref = as_array(rollout(s0, u, PARAMS, 1e-5, 100000))
         err = {}
         for dt, n in ((0.02, 50), (0.01, 100)):
-            err[dt] = np.linalg.norm(rollout(s0, u, PARAMS, dt, n).as_array() - ref)
+            err[dt] = np.linalg.norm(as_array(rollout(s0, u, PARAMS, dt, n)) - ref)
         ratio = err[0.02] / err[0.01]
         assert 8.0 < ratio < 32.0
 
@@ -246,7 +251,7 @@ class TestTrigCache:
             assert planar_velocity(st) == (xd, yd)
             psid = (st.v / PARAMS.lr) * tb
             assert _vehicle_planar(st, PARAMS.lr) == (
-                xd, yd, swx, swy, sax, say, -yd * psid, xd * psid)
+                st.x, st.y, xd, yd, swx, swy, sax, say, -yd * psid, xd * psid)
 
 
 class TestStepBits:
@@ -257,7 +262,7 @@ class TestStepBits:
             dt = float(rng.choice([0.01, 0.02, 1e-3]))
             got = step(st, u, PARAMS, dt)
             want = rk4_reference(st, u, PARAMS, dt)
-            assert hexes(got.as_array()) == hexes(want)
+            assert hexes(as_array(got)) == hexes(want)
 
     def test_slip_checked_at_every_stage(self):
         # beta starts inside the domain; the half-step stage leaves it

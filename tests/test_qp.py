@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import ffcbf
 from ffcbf import qp
 from ffcbf.qp import QpProblem, QpSolution, solve
+from ffcbf.scenario import default_config, run_trial
 
 
 def oracle(problem, feas_tol=1e-9, dual_tol=1e-9):
@@ -20,7 +22,10 @@ def oracle(problem, feas_tol=1e-9, dual_tol=1e-9):
     The QP is strictly convex, so if it is feasible exactly one active set
     yields a KKT point; if no subset does, the problem is infeasible.
     Kept independent of the solver's internals (no normalization, its own
-    linear algebra).
+    linear algebra).  Each Gram solve gets one refinement step: on nearly
+    parallel rows the Gram matrix is ill-conditioned, and without it u
+    misses its active rows by ~1e-9, enough to misplace an optimum or to
+    call a feasible problem infeasible.
     """
     rows = [(np.asarray(c, dtype=float), float(lb)) for c, lb in problem.rows]
     if problem.box is not None:
@@ -46,7 +51,12 @@ def oracle(problem, feas_tol=1e-9, dual_tol=1e-9):
             idx = list(subset)
             Gs = G[idx]
             try:
-                lam = np.linalg.solve(Gs @ Gs.T, b[idx] - Gs @ u0) if idx else np.zeros(0)
+                if idx:
+                    gram = Gs @ Gs.T
+                    lam = np.linalg.solve(gram, b[idx] - Gs @ u0)
+                    lam = lam + np.linalg.solve(gram, b[idx] - Gs @ (u0 + Gs.T @ lam))
+                else:
+                    lam = np.zeros(0)
             except np.linalg.LinAlgError:
                 continue
             if not np.all(np.isfinite(lam)):
@@ -289,6 +299,17 @@ class TestFloatKernelProperty:
         sol = solve(prob)
         assert sol.status == "optimal" and sol.u.tolist() == pytest.approx([1.0, 0.0], abs=1e-9)
 
+    def test_oracle_exact_on_nearly_parallel_rows(self):
+        # an equality pair and a nearly parallel row (the optimum is their
+        # vertex): without its refinement step the oracle misses it by 1.8e-10
+        c = [1.4922768789834064, 1.1741008793857404]
+        prob = QpProblem(dim=2, target=[-7.398307314827758, -6.9033889126885875], rows=(
+            (c, 0.5), ([-x for x in c], -0.5),
+            ([1.48274073205856, 1.1707091443551005], 0.5052569693551436)))
+        sol = solve(prob)
+        assert sol.status == "optimal" and sol.kkt_residual <= 1e-12
+        assert np.abs(oracle(prob) - sol.u).max() <= 1e-12
+
     def test_nearly_parallel_active_pair(self):
         # multipliers near 3e4 magnify any miss of the active rows in the KKT
         # residual's complementarity term
@@ -439,6 +460,109 @@ class TestConstructorErrors:
     def test_raises_value_error(self, kwargs):
         with pytest.raises(ValueError):
             QpProblem(**kwargs)
+
+
+def dense_rows(rows, dim):
+    """The (coeffs, lower_bound) form of SparseRows."""
+    dense = []
+    for pairs, lb in rows:
+        coeffs = [0.0] * dim
+        for i, c in pairs:
+            coeffs[i] = c
+        dense.append((coeffs, lb))
+    return dense
+
+
+def internal_bytes(prob):
+    """Every internal field of a problem, as bytes."""
+    def raw(x):
+        return np.asarray(x, dtype=float).tobytes()
+
+    return (raw(prob._G), raw(prob._b), raw(prob._tol), prob._degenerate,
+            raw(prob._lo), raw(prob._hi), prob.box[0].tobytes(), prob.box[1].tobytes(),
+            raw(prob._u0), prob.target.tobytes())
+
+
+@pytest.fixture(scope="module")
+def captured_problems():
+    """Every QP the controllers build in trial 0 of each seed-0 centralized
+    cell of both scenarios, and of one decentralized cell."""
+    problems = []
+    real = qp.QpProblem
+
+    def capture(*args, **kwargs):
+        problems.append(real(*args, **kwargs))
+        return problems[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "QpProblem", capture)
+        for scenario in ("all_straight", "one_left_turn"):
+            for kind in ("zero", "ff", "rff"):
+                run_trial(default_config(kind, "centralized", scenario, seed=0), 0)
+        run_trial(default_config("rff", "decentralized", "one_left_turn", seed=0), 0)
+    return problems
+
+
+class TestSparseRows:
+    """SparseRows, the form the controllers build, against the dense form."""
+
+    def test_captured_ticks_match_the_dense_form(self, captured_problems):
+        # ff and rff pairs with equal velocities give all-zero (degenerate) rows
+        assert sum(1 for p in captured_problems if p._degenerate) > 1000
+        assert {p.dim for p in captured_problems} == {1, 4}
+        for prob in captured_problems:
+            assert type(prob.rows) is qp.SparseRows
+            dense = QpProblem(dim=prob.dim, target=prob.target.tolist(),
+                              rows=dense_rows(prob.rows, prob.dim),
+                              box=(prob.box[0].tolist(), prob.box[1].tolist()))
+            assert internal_bytes(prob) == internal_bytes(dense)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 7])
+    def test_random_rows_match_the_dense_form(self, dim):
+        rng = np.random.default_rng(300 + dim)
+        for _ in range(200):
+            rows = []
+            for _ in range(int(rng.integers(0, 12))):
+                idx = np.flatnonzero(rng.random(dim) < 0.5).tolist()
+                c = rng.normal(0, 2, len(idx)) * rng.choice([1e-15, 1.0, 1e3])
+                c[rng.random(len(idx)) < 0.1] = -0.0
+                rows.append((tuple(zip(idx, c.tolist())), float(rng.normal(0, 3))))
+            lo = rng.uniform(-9, 0, dim)
+            box = (tuple(lo.tolist()), tuple((lo + rng.uniform(0, 9, dim)).tolist()))
+            target = rng.normal(0, 3, dim).tolist()
+            sparse = QpProblem(dim=dim, target=target, rows=qp.SparseRows(rows), box=box)
+            dense = QpProblem(dim=dim, target=target, rows=dense_rows(rows, dim), box=box)
+            assert internal_bytes(sparse) == internal_bytes(dense)
+
+    @pytest.mark.parametrize("rows", [
+        [(((2, 1.0),), 0.0)],                   # index past dim
+        [(((-1, 1.0),), 0.0)],                  # negative index
+        [(((0, 1.0), (0, 2.0)), 0.0)],          # repeated index
+        [(((1, 1.0), (0, 2.0)), 0.0)],          # indices out of order
+        [(((0.5, 1.0),), 0.0)],                 # non-integer index
+        [((0, 1.0), 0.0)],                      # pairs not nested
+        [(((0, float("nan")),), 0.0)],
+        [(((0, 1.0), (1, float("-inf"))), 0.0)],
+        [(((0, 1.0),), float("inf"))],
+    ])
+    def test_malformed_rows_raise(self, rows):
+        with pytest.raises(ValueError):
+            QpProblem(dim=2, target=[0.0, 0.0], rows=qp.SparseRows(rows))
+
+    def test_box_terms_are_shared_and_read_only(self):
+        box = ((-2.0, -1.0), (3.0, 4.0))
+        a = QpProblem(dim=2, target=[0.0, 0.0], rows=qp.SparseRows(), box=box)
+        b = QpProblem(dim=2, target=[1.0, 1.0], box=([-2.0, -1.0], np.array([3.0, 4.0])))
+        assert a.box[0] is b.box[0] and a._tol == b._tol
+        with pytest.raises(ValueError):
+            a.box[1][0] = 0.0
+
+    def test_zero_bounds_keep_their_sign(self):
+        # -0.0 == 0.0, so boxes with a zero bound are not taken from the cache
+        pos = QpProblem(dim=1, target=[0.0], box=([0.0], [1.0]))
+        neg = QpProblem(dim=1, target=[0.0], box=([-0.0], [1.0]))
+        assert not np.signbit(pos.box[0][0]) and np.signbit(neg.box[0][0])
+        assert math.copysign(1.0, neg._lo[0]) == -1.0
 
 
 def _fresh_interpreter(code, *args):

@@ -13,11 +13,11 @@ from ffcbf.scenario import (
     build_world,
     check_assumption1,
     default_config,
-    detect_deadlock,
     randomize_initial,
     run_batch,
     run_trial,
     trial_rng,
+    _StopClock,
 )
 
 
@@ -195,32 +195,46 @@ class TestAssumptionScreen:
 
 
 class TestDetectDeadlock:
+    """The deadlock rule of run_trial: _StopClock fed, once per sample, whether
+    every vehicle that has not exited is slower than stop_speed."""
+
     def make(self, n, speed=0.0, vehicles=2):
         return np.full((n, vehicles), speed), np.zeros((n, vehicles), dtype=bool)
 
+    @staticmethod
+    def deadlock(speeds, exited, dt, stop_speed=0.01, window=3.0):
+        clock = _StopClock(dt, window)
+        for v_row, e_row in zip(speeds.tolist(), exited.tolist()):
+            if all(e_row):  # run_trial ends the trial as a success first
+                return False
+            if clock.tick(all(e or v < stop_speed for v, e in zip(v_row, e_row))):
+                return True
+        return False
+
     def test_exactly_window_true(self):
         speeds, exited = self.make(301)
-        assert detect_deadlock(speeds, exited, dt=0.01, window=3.0)
+        assert self.deadlock(speeds, exited, dt=0.01, window=3.0)
+        assert not self.deadlock(speeds[:300], exited[:300], dt=0.01, window=3.0)
 
     def test_short_stop_then_go_false(self):
         speeds, exited = self.make(292)
         speeds[-1, 0] = 2.0  # one vehicle accelerates after 2.9 s stopped
-        assert not detect_deadlock(speeds, exited, dt=0.01, window=3.0)
+        assert not self.deadlock(speeds, exited, dt=0.01, window=3.0)
 
     def test_crawling_above_threshold_false(self):
         speeds, exited = self.make(1000, speed=0.5)
-        assert not detect_deadlock(speeds, exited, dt=0.01, stop_speed=0.01, window=3.0)
+        assert not self.deadlock(speeds, exited, dt=0.01, stop_speed=0.01, window=3.0)
 
     def test_exited_vehicles_ignored(self):
         speeds, exited = self.make(301, speed=5.0)
         speeds[:, 0] = 0.0
         exited[:, 1] = True
-        assert detect_deadlock(speeds, exited, dt=0.01, window=3.0)
+        assert self.deadlock(speeds, exited, dt=0.01, window=3.0)
 
     def test_all_exited_is_not_deadlock(self):
         speeds, exited = self.make(301)
         exited[:] = True
-        assert not detect_deadlock(speeds, exited, dt=0.01, window=3.0)
+        assert not self.deadlock(speeds, exited, dt=0.01, window=3.0)
 
 
 class TestRunTrial:
