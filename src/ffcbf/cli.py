@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--log-trajectories", choices=["none", "failures", "all"],
                        default="failures")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: FFCBF_THREADS or all cores)")
+                       help="worker processes (default: all cores)")
 
     p_run = sub.add_parser("run", help="run one batch")
     common(p_run)

@@ -23,7 +23,8 @@ once per tick and reads them for all pair rows the vehicle is in.  Rows go
 to qp.QpProblem as qp.SparseRows, each row's nonzero (index, coeff) pairs:
 one per speed row and per decentralized pair row, two per centralized pair
 row.  The box is the same pair of tuples on every tick, so qp takes its
-bounds, arrays and tolerances from its box cache.
+bounds and tolerances from its box cache.  Every per-tick vector is plain
+floats: the target q*, the gain, the QP's target and its answer.
 
 An infeasible QP applies maximum braking and reports feasible=False.
 """
@@ -32,8 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import qp
 from .barriers import RffParams, _vehicle_planar, constraint_row, h_speed
@@ -55,26 +54,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NominalTarget:
-    """Desired planar state [x*, y*, xdot*, ydot*] at the current time."""
+    """Desired planar state [x*, y*, xdot*, ydot*] at the current time.
 
-    q_star: np.ndarray
+    q_star is any sequence of four finite numbers and is stored as a tuple
+    of four floats.
+    """
+
+    q_star: tuple
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q_star, dtype=float)
-        if q.shape != (4,) or not np.all(np.isfinite(q)):
+        try:
+            x, y, xdot, ydot = self.q_star
+            q = (float(x), float(y), float(xdot), float(ydot))
+        except (TypeError, ValueError):  # scalar, wrong length, nested or non-numeric
+            q = ()
+        # Built for every vehicle on every tick: one check of the sum, and
+        # per entry only when it fails (a finite overflow passes).
+        if not (q and (math.isfinite(sum(q)) or all(map(math.isfinite, q)))):
             raise ValueError(f"q_star must be a finite 4-vector, got {self.q_star!r}")
         object.__setattr__(self, "q_star", q)
 
-    @classmethod
-    def _trusted(cls, x: float, y: float, xdot: float, ydot: float) -> "NominalTarget":
-        """Target from floats the caller computed itself; skips the check."""
-        target = object.__new__(cls)
-        object.__setattr__(target, "q_star", np.array([x, y, xdot, ydot]))
-        return target
 
-
-def lqr_gain(q_pos: float, q_vel: float, r: float) -> np.ndarray:
-    """2x4 LQR gain for the planar double integrator, block-diagonal over axes.
+def lqr_gain(q_pos: float, q_vel: float, r: float) -> tuple:
+    """2x4 LQR gain for the planar double integrator, block-diagonal over axes,
+    as two rows of float tuples.
 
     Closed-form continuous-time Riccati solution per axis (state [pos, vel],
     dynamics posdot = vel, veldot = u, weights Q = diag(q_pos, q_vel), R = r):
@@ -84,7 +87,7 @@ def lqr_gain(q_pos: float, q_vel: float, r: float) -> np.ndarray:
         raise ValueError("LQR weights must be positive")
     k1 = math.sqrt(q_pos / r)
     k2 = math.sqrt(q_vel / r + 2.0 * k1)
-    return np.array([[k1, 0.0, k2, 0.0], [0.0, k1, 0.0, k2]])
+    return (k1, 0.0, k2, 0.0), (0.0, k1, 0.0, k2)
 
 
 @dataclass
@@ -110,7 +113,7 @@ class ControllerConfig:
     vehicle: VehicleParams = field(default_factory=VehicleParams)
     rff: RffParams = field(default_factory=RffParams)
     # derived from the three LQR weights, so it is neither set nor compared
-    lqr_gain: np.ndarray = field(init=False, repr=False, compare=False)
+    lqr_gain: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.cbf_kind not in ("zero", "ff", "rff"):
@@ -119,20 +122,24 @@ class ControllerConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not (self.alpha_gain > 0 and self.omega_bar > 0 and self.a_bar > 0 and self.v_max > 0):
             raise ValueError("gains and bounds must be positive")
+        if not self.omega_v_ref > 0:
+            raise ValueError("omega_v_ref must be positive")
+        if not 0.0 < self.beta_max < math.pi / 2:
+            raise ValueError("beta_max must lie in (0, pi/2)")
         self.lqr_gain = lqr_gain(self.lqr_q_pos, self.lqr_q_vel, self.lqr_r)
 
 
 def nominal_control(
     state: VehicleState,
     target: NominalTarget,
-    gain: np.ndarray,
+    gain: tuple,
     params: VehicleParams,
     v_eps: float = 1e-3,
 ) -> tuple[float, float]:
     """LQR planar acceleration mapped to (omega0, a0) through the S matrix."""
     xd, yd, tb, s12, s22, s11, s21 = state.trig
-    qx, qy, qvx, qvy = target.q_star.tolist()
-    (k1x, _, k2x, _), (_, k1y, _, k2y) = gain.tolist()
+    qx, qy, qvx, qvy = target.q_star
+    (k1x, _, k2x, _), (_, k1y, _, k2y) = gain
     ex, ey = state.x - qx, state.y - qy
     evx, evy = xd - qvx, yd - qvy
     mu_x = -(k1x * ex + k2x * evx)
@@ -231,7 +238,7 @@ def centralized_step(states, targets, config: ControllerConfig, warm_start=None)
     problem, omegas, _ = build_centralized_qp(states, targets, config)
     sol = qp.solve(problem, warm_start)
     if sol.status == "optimal":
-        inputs = tuple(map(ControlInput, omegas, sol.u.tolist()))
+        inputs = tuple(map(ControlInput, omegas, sol.u))
         return StepResult(inputs, True, sol.active_set, sol.iterations)
     # Infeasible program: brake to a stop, slip rates per the saturated nominal.
     inputs = tuple(
@@ -273,7 +280,7 @@ def decentralized_step(
     sol = qp.solve(problem, warm_start)
     if sol.status == "optimal":
         return StepResult(
-            (ControlInput(w_star, sol.u.item(0)),), True, sol.active_set, sol.iterations
+            (ControlInput(w_star, sol.u[0]),), True, sol.active_set, sol.iterations
         )
     return StepResult(
         (ControlInput(w_star, _max_braking(states[ego_index], config)),),

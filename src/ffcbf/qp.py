@@ -29,21 +29,20 @@ dense simplex) runs only after an infeasible verdict, to report the slack.
 
 Problems here are tiny (a handful of variables, tens of rows) and one is
 built and solved on every control tick, where the fixed cost of a numpy call
-exceeds the arithmetic it does.  So the kernel works in plain Python floats.
-QpProblem takes rows in two forms: dense (coeffs, lower_bound) rows, which
-it validates and converts, or SparseRows, each row's nonzero (index, coeff)
-pairs, which the controllers build on every tick.  One routine normalizes
-both into float lists, with squared norms summed so that a dense row equals
-the np.linalg.norm scaling bit for bit and, for dim < 8, a sparse row its
-dense form.  Box bounds stay bounds, read coordinate by coordinate (a box
-row that enters A is expanded to +-e_i there); a box's bound tuples,
-read-only arrays and tolerances are computed once and kept in a small
-cache, as the controllers pass the same box every tick.  Dot products
-accumulate left to right from 0.0, and G_A^T = Q R is kept factored by
-modified Gram-Schmidt, extended as a row enters and redone from a row that
-leaves.  numpy only holds the public target, box and solution arrays and
-runs the LP, so the same bits come out on any machine, whatever BLAS numpy
-uses.
+exceeds the arithmetic it does.  So the problem and the kernel are plain
+Python floats: the target is a float tuple, the box a pair of float tuples
+and the answer a float tuple.  QpProblem takes rows in two forms: dense
+(coeffs, lower_bound) rows, which it validates and converts, or SparseRows,
+each row's nonzero (index, coeff) pairs, which the controllers build on
+every tick.  One routine normalizes both into float lists, with each squared
+norm summed from 0.0 left to right, so a sparse row equals its dense form
+bit for bit.  Box bounds stay bounds, read coordinate by coordinate (a box
+row that enters A is expanded to +-e_i there); a box's bound tuples and
+tolerances are computed once and kept in a small cache, as the controllers
+pass the same box every tick.  Dot products accumulate left to right from
+0.0, and G_A^T = Q R is kept factored by modified Gram-Schmidt, extended as
+a row enters and redone from a row that leaves.  numpy only runs the LP, so
+the same bits come out on any machine, whatever BLAS numpy uses.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ _NORM_EPS = 1e-13
 _LP_COST_TOL = 1e-11   # reduced costs above -this are optimal
 _LP_PIVOT_TOL = 1e-11  # smallest pivot element
 _LP_TIE_RTOL = 1e-12   # relative tolerance of ratio-test ties
-_PAIRWISE_BLOCK = 128  # numpy's pairwise-summation block length
 _UNROLL_MAX = 32       # longest vector given straight-line kernels
 
 
@@ -137,31 +135,8 @@ def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
     np.maximum(T[:-1, -1], 0.0, out=T[:-1, -1])  # clamp roundoff below zero
 
 
-def _pairwise_sum(a: list) -> float:
-    """Sum of a in the order of numpy's pairwise summation (np.add.reduce)."""
-    n = len(a)
-    if n < 8:
-        res = 0.0
-        for x in a:
-            res += x
-        return res
-    if n <= _PAIRWISE_BLOCK:
-        r = a[:8]
-        i, stop = 8, n - n % 8
-        while i < stop:
-            r = [rj + aj for rj, aj in zip(r, a[i:i + 8])]
-            i += 8
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for x in a[i:]:
-            res += x
-        return res
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
-
-
-def _floats(c) -> list:
-    return [float(x) for x in c]
+def _floats(c) -> tuple:
+    return tuple(float(x) for x in c)
 
 
 def _dot(g, v) -> float:
@@ -179,7 +154,7 @@ def _scaled(c, s) -> list:
 def _kernels(n: int):
     """(floats, dot, scaled) for length-n vectors:
 
-        floats(c)    = [float(c[0]), ..., float(c[n-1])]
+        floats(c)    = (float(c[0]), ..., float(c[n-1]))
         dot(g, v)    = 0.0 + g[0] * v[0] + ... + g[n-1] * v[n-1], left to right
         scaled(c, s) = [c[0] / s, ..., c[n-1] / s]
 
@@ -191,7 +166,7 @@ def _kernels(n: int):
         return _floats, _dot, _scaled
     idx = range(n)
     return eval(
-        "(lambda c: [" + ", ".join(f"float(c[{i}])" for i in idx) + "], "
+        "(lambda c: (" + ", ".join(f"float(c[{i}])" for i in idx) + ",), "
         "lambda g, v: 0.0" + "".join(f" + g[{i}] * v[{i}]" for i in idx) + ", "
         "lambda c, s: [" + ", ".join(f"c[{i}] / s" for i in idx) + "])",
         {"float": float},
@@ -213,12 +188,10 @@ def _normalize(dim: int, rows) -> tuple:
     """(G, b, degenerate, check) of rows in the SparseRows form.
 
     Each row is scaled by its norm, or kept as given (and its index recorded
-    in degenerate) when the norm is below _NORM_EPS.  The squared norm of a
-    row with fewer than 8 listed entries is summed from 0.0 left to right,
-    and of a longer one in numpy's pairwise order.  Adding +0.0 is exact, so
-    for dim < 8 a sparse row normalizes to the bits of its dense form, and a
-    dense row listing every entry to those of np.linalg.norm.  check is the
-    sum of every squared norm and bound: non-finite if any value is.
+    in degenerate) when the norm is below _NORM_EPS.  The squared norm is
+    summed from 0.0 left to right over the listed entries; adding +0.0 is
+    exact, so a sparse row normalizes to the bits of its dense form.  check
+    is the sum of every squared norm and bound: non-finite if any value is.
     """
     scaled = _kernels(dim)[2]
     G, b, degenerate = [], [], []
@@ -232,8 +205,6 @@ def _normalize(dim: int, rows) -> tuple:
             row[i] = c
             sq += c * c
             last = i
-        if len(pairs) >= 8:  # np.linalg.norm's order
-            sq = _pairwise_sum([c * c for _, c in pairs])
         check += sq
         check += lb
         norm = math.sqrt(sq)
@@ -248,16 +219,13 @@ def _normalize(dim: int, rows) -> tuple:
 
 
 def _box_terms(lo: tuple, hi: tuple) -> tuple:
-    """(lo, hi, read-only arrays, tolerances) of a validated box."""
+    """((lo, hi), tolerances) of a validated box, as float tuples."""
     lo, hi = tuple(map(float, lo)), tuple(map(float, hi))
     if not all(map(math.isfinite, lo + hi)):
         raise ValueError("non-finite box")
     if any(map(float.__gt__, lo, hi)):
         raise ValueError("box lower > upper")
-    arrays = (np.array(lo), np.array(hi))
-    for a in arrays:
-        a.flags.writeable = False
-    return lo, hi, arrays, tuple(FEAS_TOL * (1.0 + abs(x)) for x in lo + hi)
+    return (lo, hi), tuple(FEAS_TOL * (1.0 + abs(x)) for x in lo + hi)
 
 
 # Controllers pass the same box on every tick.  Keys compare by value, and
@@ -269,21 +237,24 @@ _cached_box_terms = functools.lru_cache(maxsize=64)(_box_terms)
 class QpProblem:
     """1/2 ||u - target||^2 under rows coeff.u >= lower_bound and box bounds.
 
-    rows is a sequence of (coeffs, lower_bound) with coeffs any length-dim
-    sequence, or a SparseRows; box is (lower, upper) sequences or None for an
-    unbounded variable vector.  Every input is validated: non-finite values,
-    wrong shapes, sparse indices out of range or out of order and lower >
-    upper raise ValueError.
+    target is any length-dim sequence of numbers; rows is a sequence of
+    (coeffs, lower_bound) with coeffs any length-dim sequence, or a
+    SparseRows; box is (lower, upper) sequences or None for an unbounded
+    variable vector.  Every input is validated: non-finite values, wrong
+    lengths, nested or non-numeric entries, sparse indices out of range or
+    out of order and lower > upper raise ValueError.  The constructed
+    problem holds target as a float tuple and box as a pair of float tuples,
+    the form the solver reads.
 
     Internal rows are indexed as in QpSolution.active_set: the user's rows
-    (normalized, _G and _b), then the box lower bounds (_lo), then the upper
-    bounds (_hi); _tol holds the feasibility tolerance of each.  Both row
-    forms go through _normalize, and a box's bounds, arrays and tolerances
-    are computed once and cached.
+    (normalized, _G and _b), then the box lower bounds, then the upper
+    bounds; _tol holds the feasibility tolerance of each.  Both row forms go
+    through _normalize, and a box's bounds and tolerances are computed once
+    and cached.
     """
 
     dim: int
-    target: np.ndarray
+    target: tuple
     rows: tuple = ()
     box: tuple | None = None
 
@@ -293,17 +264,19 @@ class QpProblem:
         dim = self.dim
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        target = np.asarray(self.target, dtype=float)
-        if target.shape != (dim,):
-            raise ValueError(f"target shape {target.shape} != ({dim},)")
-        u0 = target.tolist()
+        floats, dot, _ = _kernels(dim)
+        try:
+            if len(self.target) != dim:
+                raise ValueError(f"length {len(self.target)} != {dim}")
+            target = floats(self.target)
+        except (TypeError, ValueError) as exc:  # scalar, nested or non-numeric
+            raise ValueError(f"malformed target: {exc}") from None
         rows = self.rows
         try:
             if type(rows) is SparseRows:
                 sparse = rows
             else:
                 rows = tuple(rows)
-                floats = _kernels(dim)[0]
                 sparse = []
                 for coeffs, lb in rows:
                     if len(coeffs) != dim:
@@ -314,15 +287,15 @@ class QpProblem:
             raise ValueError(f"malformed rows: {exc}") from None
         # A NaN or inf in any input makes check non-finite (so does an
         # overflow of finite values, which the exact checks below let pass).
-        check += sum(u0)
+        check += sum(target)
         if not math.isfinite(check):
-            if not all(map(math.isfinite, u0)):
+            if not all(map(math.isfinite, target)):
                 raise ValueError("non-finite target")
             for pairs, lb in sparse:
                 if not all(map(math.isfinite, (*(c for _, c in pairs), lb))):
                     raise ValueError("non-finite row")
         tol = [FEAS_TOL * (1.0 + abs(x)) for x in b]
-        lo = hi = box = None
+        box = None
         if self.box is not None:
             try:
                 lo, hi = self.box
@@ -330,14 +303,14 @@ class QpProblem:
                     raise ValueError("box shape mismatch")
                 lo, hi = tuple(lo), tuple(hi)
                 terms = _box_terms if 0.0 in lo or 0.0 in hi else _cached_box_terms
-                lo, hi, box, box_tol = terms(lo, hi)
+                box, box_tol = terms(lo, hi)
             except TypeError:  # scalar, unhashable or non-numeric bounds
                 raise ValueError("malformed box") from None
             tol += box_tol
         # frozen: the fields are set through the instance dict, in one call
         vars(self).update(
-            target=target, rows=rows, box=box, _u0=u0, _G=G, _b=b, _lo=lo, _hi=hi,
-            _tol=tol, _degenerate=tuple(degenerate), _dot=_kernels(dim)[1])
+            target=target, rows=rows, box=box, _G=G, _b=b, _tol=tol,
+            _degenerate=tuple(degenerate), _dot=dot)
 
     def _vector(self, r: int) -> list:
         """Normalized coefficients of internal row r (a box row is +-e_i)."""
@@ -358,7 +331,8 @@ class QpProblem:
         if r < n:
             return self._b[r]
         i = r - n
-        return self._lo[i] if i < self.dim else -self._hi[i - self.dim]
+        lo, hi = self.box
+        return lo[i] if i < self.dim else -hi[i - self.dim]
 
     def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """(G, b) of every internal row as arrays, for the phase-1 LP."""
@@ -386,7 +360,7 @@ class QpSolution:
     """
 
     status: str                      # "optimal" | "infeasible"
-    u: np.ndarray | None
+    u: tuple | None                  # one float per variable
     active_set: tuple = ()
     kkt_residual: float = float("nan")
     iterations: int = 0
@@ -397,9 +371,10 @@ class QpSolution:
 def _residuals(problem: QpProblem, u: list) -> list:
     """g_r . u - b_r of every internal row (user rows, box lower, box upper)."""
     res = list(map(sub, map(problem._dot, problem._G, repeat(u)), problem._b))
-    if problem._lo is not None:
-        res += map(sub, u, problem._lo)
-        res += map(sub, problem._hi, u)
+    if problem.box is not None:
+        lo, hi = problem.box
+        res += map(sub, u, lo)
+        res += map(sub, hi, u)
     return res
 
 
@@ -456,7 +431,7 @@ def _project(problem: QpProblem, active: list, rows: list, basis: list, R: list)
     x - u0 = Q c for R^T c = b_A - G_A u0, and lambda = R^-1 c.  The most
     negative multiplier (ties to the earliest entry) leaves, in place, until
     none is below -DUAL_TOL."""
-    u0, dot = problem._u0, problem._dot
+    u0, dot = problem.target, problem._dot
     while True:
         bounds = [problem._bound(r) for r in active]
         c = _forward(R, [bi - dot(g, u0) for bi, g in zip(bounds, rows)])
@@ -496,16 +471,16 @@ def _kkt_residual(problem: QpProblem, u: list, active, lam: list, res: list) -> 
     else:
         step = [0.0] * problem.dim
         dual = comp = 0.0
-    stationarity = max(abs(ui - u0i - s) for ui, u0i, s in zip(u, problem._u0, step))
+    stationarity = max(abs(ui - u0i - s) for ui, u0i, s in zip(u, problem.target, step))
     return max(stationarity, primal, dual, comp)
 
 
 def solve(problem: QpProblem, warm_start=None) -> QpSolution:
     """Solve the QP; never raises on infeasibility (reported in the status)."""
     G, b, tol = problem._G, problem._b, problem._tol
-    lo, hi = problem._lo, problem._hi
+    lo, hi = problem.box or (None, None)
     dim, n_user, m = problem.dim, len(b), len(tol)
-    u0, dot = problem._u0, problem._dot
+    u0, dot = problem.target, problem._dot
 
     # Rows with ~zero coefficients are vacuous or certify infeasibility outright.
     if problem._degenerate:
@@ -536,7 +511,7 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
     res = list(map(sub, map(dot, G, repeat(x)), b))
     if min(map(add, res, tol), default=0.0) >= 0.0:
         return QpSolution(
-            status="optimal", u=np.array(x), active_set=tuple(active),
+            status="optimal", u=tuple(x), active_set=tuple(active),
             kkt_residual=max(0.0, -min(res)) if res else 0.0,
         )
 
@@ -622,7 +597,7 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
     lam = [lam[k] for k in order]
     return QpSolution(
         status="optimal",
-        u=np.array(x),
+        u=tuple(x),
         active_set=active,
         kkt_residual=_kkt_residual(problem, x, active, lam, res),
         iterations=iterations,

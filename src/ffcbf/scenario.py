@@ -16,6 +16,10 @@ vehicles exit at their designated lane (success), every moving vehicle has
 been stopped for 3 s (deadlock), or the time cap is hit (timeout).  Batches
 aggregate the Success / Feas / DLock / Unsafe / Avg-Time metrics over
 deterministically seeded trials.
+
+Lane geometry, references and exit checks are plain floats, as they run on
+every tick; numpy holds the per-trial RNG, the trajectory log and the batch
+statistics.
 """
 
 from __future__ import annotations
@@ -99,6 +103,8 @@ class ScenarioConfig:
             raise ScenarioError("geometry lengths must be positive")
         if self.lane_width / 2.0 > self.box_half:
             raise ScenarioError("lane centerlines must fall inside the box")
+        if not (self.turn_speed > 0 and self.ref_accel > 0):
+            raise ScenarioError("turn_speed and ref_accel must be positive")
         # opposing lanes are lane_width apart: at 2R >= lane_width two
         # opposing vehicles could never pass each other safely
         if 2.0 * self.controller.rff.ff.R >= self.lane_width:
@@ -125,16 +131,15 @@ def default_config(
 
 @dataclass(frozen=True)
 class Lane:
-    """One approach lane: centerline entry point at the box edge and heading."""
+    """One approach lane: centerline entry point at the box edge and heading.
 
-    entry: np.ndarray      # point where the centerline meets the box edge
-    direction: np.ndarray  # unit travel direction
-    normal: np.ndarray     # unit left normal of the travel direction
-    psi: float             # heading angle
+    Points and directions are (x, y) float pairs; the lane's left normal is
+    direction rotated left, (-dy, dx).
+    """
 
-
-def _rot90(v: np.ndarray) -> np.ndarray:
-    return np.array([-v[1], v[0]])
+    entry: tuple      # point where the centerline meets the box edge
+    direction: tuple  # unit travel direction
+    psi: float        # heading angle
 
 
 class _SpeedProfile:
@@ -187,45 +192,52 @@ class _SpeedProfile:
         return s0 + v0 * dt + 0.5 * a * dt * dt, v0 + a * dt
 
 
+def _behind(lane: Lane, d: float) -> tuple:
+    """The centerline point d meters before the lane's entry point."""
+    (ex, ey), (dx, dy) = lane.entry, lane.direction
+    return ex - dx * d, ey - dy * d
+
+
+def _turn_frame(lane: Lane, radius: float) -> tuple:
+    """(center, exit point, exit direction) of the left turn from lane: the
+    center lies radius along the left normal, and the exit point and
+    direction are the entry point (about the center) and the travel
+    direction, rotated left."""
+    (ex, ey), (dx, dy) = lane.entry, lane.direction
+    cx, cy = ex - dy * radius, ey + dx * radius
+    rx, ry = ex - cx, ey - cy
+    return (cx, cy), (cx - ry, cy + rx), (-dy, dx)
+
+
 class _StraightRef:
-    """Constant-speed reference along a lane centerline.
+    """Constant-speed reference start + direction * (speed * t) along a lane
+    centerline."""
 
-    Evaluated on every tick, so it computes in floats, with the operations
-    of the array form start + direction * (speed * t).
-    """
-
-    def __init__(self, start: np.ndarray, direction: np.ndarray, speed: float):
-        self._start = start.tolist()
-        self._dir = direction.tolist()
+    def __init__(self, start: tuple, direction: tuple, speed: float):
+        self._start = start
+        self._dir = direction
         self._speed = speed
 
     def __call__(self, t: float) -> NominalTarget:
         (sx, sy), (dx, dy), speed = self._start, self._dir, self._speed
         st = speed * t
-        return NominalTarget._trusted(sx + dx * st, sy + dy * st, dx * speed, dy * speed)
+        return NominalTarget((sx + dx * st, sy + dy * st, dx * speed, dy * speed))
 
 
 class _TurnRef:
-    """Lane -> quarter-circle left-turn arc -> exit lane reference.
-
-    Geometry is set up once with arrays; each evaluation computes in floats,
-    with the operations of the array form.
-    """
+    """Lane -> quarter-circle left-turn arc -> exit lane reference."""
 
     def __init__(self, lane: Lane, d_i: float, speed: float, radius: float,
                  arc_speed: float, ramp: float):
-        start = lane.entry - lane.direction * d_i
-        center = lane.entry + lane.normal * radius
-        self._start = start.tolist()
-        self._dir = lane.direction.tolist()
-        self._center = center.tolist()
+        center, self._exit_point, self._exit_dir = _turn_frame(lane, radius)
+        self._start = _behind(lane, d_i)
+        self._dir = lane.direction
+        self._center = center
         self._radius = radius
         self._theta0 = math.atan2(lane.entry[1] - center[1], lane.entry[0] - center[0])
         self._approach = d_i
         self._arc_len = radius * math.pi / 2.0
         self._arc_end = d_i + self._arc_len
-        self._exit_dir = _rot90(lane.direction).tolist()
-        self._exit_point = (center + _rot90(lane.entry - center)).tolist()
         self._profile = _SpeedProfile.turn(
             speed, min(speed, arc_speed), ramp, d_i, self._arc_len
         )
@@ -234,16 +246,16 @@ class _TurnRef:
         sigma, spd = self._profile(t)
         if sigma <= self._approach:
             (sx, sy), (dx, dy) = self._start, self._dir
-            return NominalTarget._trusted(sx + dx * sigma, sy + dy * sigma, dx * spd, dy * spd)
+            return NominalTarget((sx + dx * sigma, sy + dy * sigma, dx * spd, dy * spd))
         if sigma <= self._arc_end:
             theta = self._theta0 + (sigma - self._approach) / self._radius
             c, s = math.cos(theta), math.sin(theta)
             cx, cy = self._center
             r = self._radius
-            return NominalTarget._trusted(cx + r * c, cy + r * s, -s * spd, c * spd)
+            return NominalTarget((cx + r * c, cy + r * s, -s * spd, c * spd))
         (ex, ey), (dx, dy) = self._exit_point, self._exit_dir
         run = sigma - self._approach - self._arc_len
-        return NominalTarget._trusted(ex + dx * run, ey + dy * run, dx * spd, dy * spd)
+        return NominalTarget((ex + dx * run, ey + dy * run, dx * spd, dy * spd))
 
 
 class World:
@@ -254,22 +266,21 @@ class World:
         half = config.lane_width / 2.0
         b = config.box_half
         self.lanes = (
-            Lane(np.array([half, -b]), np.array([0.0, 1.0]),
-                 np.array([-1.0, 0.0]), math.pi / 2),            # from south, north-bound
-            Lane(np.array([-half, b]), np.array([0.0, -1.0]),
-                 np.array([1.0, 0.0]), -math.pi / 2),            # from north, south-bound
-            Lane(np.array([b, half]), np.array([-1.0, 0.0]),
-                 np.array([0.0, -1.0]), math.pi),                # from east, west-bound
-            Lane(np.array([-b, -half]), np.array([1.0, 0.0]),
-                 np.array([0.0, 1.0]), 0.0),                     # from west, east-bound
+            Lane((half, -b), (0.0, 1.0), math.pi / 2),     # from south, north-bound
+            Lane((-half, b), (0.0, -1.0), -math.pi / 2),   # from north, south-bound
+            Lane((b, half), (-1.0, 0.0), math.pi),         # from east, west-bound
+            Lane((-b, -half), (1.0, 0.0), 0.0),            # from west, east-bound
         )
         self.turn_radius = b + half
         self.turn_vehicle = 0 if config.scenario == "one_left_turn" else None
-        # is_exited runs for every vehicle on every tick: keep its frames as floats.
-        self._exit_frames = tuple(
-            (*point.tolist(), *direction.tolist())
-            for point, direction in map(self.exit_frame, range(len(self.lanes)))
-        )
+        frames = []
+        for index, lane in enumerate(self.lanes):
+            if index == self.turn_vehicle:
+                frames.append(_turn_frame(lane, self.turn_radius)[1:])
+            else:  # straight across the box
+                (ex, ey), (dx, dy) = lane.entry, lane.direction
+                frames.append(((ex + dx * (2.0 * b), ey + dy * (2.0 * b)), lane.direction))
+        self._exit_frames = tuple(frames)
 
     def reference(self, index: int, d_i: float, s_i: float):
         """Time-parameterized NominalTarget generator for one vehicle."""
@@ -277,19 +288,16 @@ class World:
         if index == self.turn_vehicle:
             return _TurnRef(lane, d_i, s_i, self.turn_radius,
                             self.config.turn_speed, self.config.ref_accel)
-        return _StraightRef(lane.entry - lane.direction * d_i, lane.direction, s_i)
+        return _StraightRef(_behind(lane, d_i), lane.direction, s_i)
 
-    def exit_frame(self, index: int):
-        """(exit point on the box boundary, exit direction) for one vehicle."""
-        lane = self.lanes[index]
-        if index == self.turn_vehicle:
-            center = lane.entry + lane.normal * self.turn_radius
-            return center + _rot90(lane.entry - center), _rot90(lane.direction)
-        return lane.entry + lane.direction * (2.0 * self.config.box_half), lane.direction
+    def exit_frame(self, index: int) -> tuple:
+        """((x, y) exit point on the box boundary, (dx, dy) exit direction)
+        for one vehicle."""
+        return self._exit_frames[index]
 
     def is_exited(self, index: int, state: VehicleState) -> bool:
         """Past the intersection box and within the exit-lane lateral band."""
-        x0, y0, dx, dy = self._exit_frames[index]
+        (x0, y0), (dx, dy) = self._exit_frames[index]
         px, py = state.x - x0, state.y - y0
         along = px * dx + py * dy
         lateral = abs(-px * dy + py * dx)
@@ -309,8 +317,7 @@ def randomize_initial(config: ScenarioConfig, rng: np.random.Generator):
         d_i = config.d0 + rng.uniform(-config.delta_d, config.delta_d)
         s_i = config.s0 + rng.uniform(-config.delta_s, config.delta_s)
         lane = world.lanes[i]
-        pos = lane.entry - lane.direction * d_i
-        states.append(VehicleState(float(pos[0]), float(pos[1]), lane.psi, 0.0, s_i))
+        states.append(VehicleState(*_behind(lane, d_i), lane.psi, 0.0, s_i))
     return states
 
 
@@ -431,8 +438,8 @@ def run_trial(config: ScenarioConfig, trial_index: int,
     lanes = world.lanes
     refs = []
     for i, st in enumerate(states):
-        d_i = float((lanes[i].entry[0] - st.x) * lanes[i].direction[0]
-                    + (lanes[i].entry[1] - st.y) * lanes[i].direction[1])
+        (ex, ey), (dx, dy) = lanes[i].entry, lanes[i].direction
+        d_i = (ex - st.x) * dx + (ey - st.y) * dy
         refs.append(world.reference(i, d_i, st.v))
 
     ctrl = config.controller
@@ -576,11 +583,9 @@ class BatchSummary:
 
 
 def resolve_workers(workers: int | None = None) -> int:
+    """The pool size: workers if given (at least 1), else every core."""
     if workers is not None:
         return max(1, int(workers))
-    env = os.environ.get("FFCBF_THREADS")
-    if env:
-        return max(1, int(env))
     return os.cpu_count() or 1
 
 
@@ -599,7 +604,7 @@ def run_batch(config: ScenarioConfig, n_trials: int, workers: int | None = None,
     """Run n_trials deterministic trials; returns (BatchSummary, results list).
 
     Trials are pure functions of (config, trial_index), so the outcome is
-    identical for any worker count; FFCBF_THREADS caps the default pool size.
+    identical for any worker count; workers defaults to every core.
     """
     if n_trials < 1:
         raise ScenarioError("n_trials must be >= 1")

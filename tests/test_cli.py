@@ -133,6 +133,11 @@ class TestCmdRun:
     @pytest.mark.parametrize("doc, message", [
         ({"controller": {"rff": {"ff": {"k": 0.5}}}}, "invalid FfParams"),
         ({"controller": {"cbf_kind": "nope"}}, "unknown cbf_kind"),
+        # each of these once crashed mid-trial with a ZeroDivisionError
+        ({"scenario": "one_left_turn", "turn_speed": 0.0}, "turn_speed and ref_accel"),
+        ({"scenario": "one_left_turn", "ref_accel": 0.0}, "turn_speed and ref_accel"),
+        ({"controller": {"omega_v_ref": 0.0}}, "omega_v_ref must be positive"),
+        ({"controller": {"beta_max": 1.6}}, "beta_max must lie in"),
     ])
     def test_bad_config_value_is_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"

@@ -1,9 +1,13 @@
+import cProfile
 import math
+import os
+import pstats
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from ffcbf import scenario
 from ffcbf.barriers import FfParams, RffParams, _vehicle_planar, constraint_row, h0
 from ffcbf.controllers import (
     ControllerConfig,
@@ -44,9 +48,39 @@ def dense_rows(problem):
     return rows
 
 
+class TestNominalTarget:
+    @pytest.mark.parametrize("q", [
+        [1.0, 2.0, 3.0, 4.0], (1.0, 2.0, 3.0, 4.0), np.array([1.0, 2.0, 3.0, 4.0]),
+        [1, 2, 3, 4],
+    ])
+    def test_accepts_any_4_sequence_as_floats(self, q):
+        target = NominalTarget(q)
+        assert target.q_star == (1.0, 2.0, 3.0, 4.0)
+        assert all(type(x) is float for x in target.q_star)
+
+    def test_accepts_a_sum_that_overflows(self):
+        assert NominalTarget([1e308, 1e308, 0.0, 0.0]).q_star[0] == 1e308
+
+    @pytest.mark.parametrize("q", [
+        [float("nan"), 0.0, 0.0, 0.0],
+        [0.0, 0.0, float("inf"), 0.0],
+        [0.0, 0.0, 0.0, float("-inf")],
+        [0.0, 0.0, 0.0],                        # 3 entries
+        [0.0, 0.0, 0.0, 0.0, 0.0],              # 5 entries
+        ["x", 0.0, 0.0, 0.0],                   # non-numeric
+        [None, 0.0, 0.0, 0.0],
+        [[0.0], 0.0, 0.0, 0.0],                 # nested
+        np.zeros((4, 1)),
+        1.0,                                    # scalar
+    ])
+    def test_rejects_malformed(self, q):
+        with pytest.raises(ValueError):
+            NominalTarget(q)
+
+
 class TestLqrGain:
     def test_unit_weights_closed_form(self):
-        g = lqr_gain(1.0, 1.0, 1.0)
+        g = np.asarray(lqr_gain(1.0, 1.0, 1.0))
         assert g[0, 0] == pytest.approx(1.0, abs=1e-9)
         assert g[0, 2] == pytest.approx(math.sqrt(3.0), abs=1e-9)
 
@@ -57,14 +91,14 @@ class TestLqrGain:
             b = np.array([[0.0], [1.0]])
             p = scipy.linalg.solve_continuous_are(a, b, np.diag([q_pos, q_vel]), [[r]])
             k_ref = (b.T @ p / r).ravel()
-            g = lqr_gain(q_pos, q_vel, r)
+            g = np.asarray(lqr_gain(q_pos, q_vel, r))
             assert np.allclose([g[0, 0], g[0, 2]], k_ref, atol=1e-9)
 
     def test_weight_scaling_invariance(self):
         assert np.allclose(lqr_gain(1, 2, 1), lqr_gain(7, 14, 7), atol=1e-12)
 
     def test_axes_identical(self):
-        g = lqr_gain(3.0, 2.0, 0.5)
+        g = np.asarray(lqr_gain(3.0, 2.0, 0.5))
         assert g[0, 0] == g[1, 1] and g[0, 2] == g[1, 3]
         assert g[0, 1] == g[0, 3] == g[1, 0] == g[1, 2] == 0.0
 
@@ -173,6 +207,34 @@ class TestCentralizedStep:
             for u in res.inputs:
                 assert abs(u.a) <= cfg.a_bar + 1e-9
                 assert abs(u.omega) <= cfg.omega_bar + 1e-12
+
+
+def test_feasible_tick_makes_no_numpy_call(monkeypatch):
+    """A feasible tick's vectors are plain floats from the reference to the
+    QP answer: over seed-0 trial 0 of the centralized straight cell, neither
+    the controller step nor a reference evaluation enters numpy."""
+    prof = cProfile.Profile()
+
+    def profiled(fn):
+        def call(*args, **kwargs):
+            prof.enable()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                prof.disable()
+        return call
+
+    real_reference = scenario.World.reference
+    monkeypatch.setattr(scenario, "centralized_step", profiled(scenario.centralized_step))
+    monkeypatch.setattr(scenario.World, "reference",
+                        lambda self, *args: profiled(real_reference(self, *args)))
+    result = scenario.run_trial(scenario.default_config("rff", "centralized", "all_straight"), 0)
+    assert result.always_feasible
+    numpy_dir = os.path.dirname(np.__file__)
+    entered = pstats.Stats(prof).stats
+    assert any(name == "solve" for _, _, name in entered)  # the profile saw the ticks
+    assert [f"{path}:{name}" for path, _, name in entered
+            if path.startswith(numpy_dir) or "numpy" in name] == []
 
 
 class TestDecentralizedStep:

@@ -187,7 +187,7 @@ class TestPlanarKinematics:
             target = NominalTarget(rng.uniform(-5, 5, 4))
             w0, a0 = nominal_control(st, target, gain, PARAMS)
             zeta = np.array([st.x, st.y, *planar_velocity(st)])
-            mu = -gain @ (zeta - target.q_star)
+            mu = -np.asarray(gain) @ (zeta - np.asarray(target.q_star))
             accel = planar_accel(st, ControlInput(w0, a0))
             assert np.allclose(accel, mu, atol=1e-8)
 

@@ -40,7 +40,7 @@ def oracle(problem, feas_tol=1e-9, dual_tol=1e-9):
             rows.append((e, float(-hi[i])))
     G = np.array([c for c, _ in rows]) if rows else np.zeros((0, problem.dim))
     b = np.array([lb for _, lb in rows])
-    u0 = problem.target
+    u0 = np.asarray(problem.target)
 
     def feasible(u):
         return G.shape[0] == 0 or np.all(G @ u >= b - feas_tol * (1 + np.abs(b)))
@@ -109,6 +109,20 @@ class TestExamples:
             QpProblem(dim=1, target=[float("nan")])
         with pytest.raises(ValueError):
             QpProblem(dim=1, target=[0.0], rows=(([float("inf")], 0.0),))
+        for target in ([0.0], [0.0, 0.0, 0.0], 0.0,              # wrong length, scalar
+                       [[0.0], [0.0]], np.zeros((2, 1)),          # nested
+                       ["a", 0.0], [None, 0.0]):                  # non-numeric
+            with pytest.raises(ValueError):
+                QpProblem(dim=2, target=target)
+
+    def test_float_tuples_in_and_out(self):
+        prob = QpProblem(dim=2, target=np.array([3.0, -1.0]), rows=(([1.0, 0.0], 4.0),),
+                         box=(np.array([-5.0, -5.0]), [5, 5]))
+        assert prob.target == (3.0, -1.0) and prob.box == ((-5.0, -5.0), (5.0, 5.0))
+        sol = solve(prob)
+        assert sol.u == (4.0, -1.0)
+        for values in (prob.target, *prob.box, sol.u):
+            assert type(values) is tuple and all(type(x) is float for x in values)
 
 
 class TestOracleAgreement:
@@ -149,11 +163,12 @@ class TestSolutionQuality:
             sol = solve(prob)
             if sol.status != "optimal":
                 continue
+            u = np.asarray(sol.u)
             for c, lb in prob.rows:
-                assert np.dot(c, sol.u) >= lb - 1e-6 * (1 + abs(lb))
+                assert np.dot(c, u) >= lb - 1e-6 * (1 + abs(lb))
             if prob.box is not None:
-                assert np.all(sol.u >= prob.box[0] - 1e-8)
-                assert np.all(sol.u <= prob.box[1] + 1e-8)
+                assert np.all(u >= np.asarray(prob.box[0]) - 1e-8)
+                assert np.all(u <= np.asarray(prob.box[1]) + 1e-8)
             assert sol.kkt_residual <= 1e-6
 
     def test_determinism_bit_for_bit(self):
@@ -271,7 +286,7 @@ class TestFloatKernelProperty:
         ref = oracle(prob)
         assert sol.status == ("infeasible" if ref is None else "optimal")
         if ref is not None:
-            assert np.abs(sol.u - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
+            assert np.abs(np.asarray(sol.u) - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
             assert sol.kkt_residual <= 1e-8
             assert not calls  # the LP stays off feasible problems
         elif max((prob._b[r] for r in prob._degenerate), default=0.0) <= qp.FEAS_TOL:
@@ -283,7 +298,7 @@ class TestFloatKernelProperty:
         prob = QpProblem(dim=2, target=[0.0, 0.0], rows=(([1.0, 1.0], 2.0), ([1.0, 1.0], 2.0)))
         sol = solve(prob)
         assert sol.status == "optimal"
-        assert sol.u.tolist() == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert list(sol.u) == pytest.approx([1.0, 1.0], abs=1e-12)
         assert sol.kkt_residual <= 1e-12
 
     def test_dependent_warm_start(self):
@@ -297,7 +312,7 @@ class TestFloatKernelProperty:
         prob = QpProblem(dim=2, target=[0.0, 1.0], rows=(
             ([1.0, 2.0], 1.0), ([1.0, 1.9987700918464433], 1.0), ([-1.0, -2.0], -1.0)))
         sol = solve(prob)
-        assert sol.status == "optimal" and sol.u.tolist() == pytest.approx([1.0, 0.0], abs=1e-9)
+        assert sol.status == "optimal" and list(sol.u) == pytest.approx([1.0, 0.0], abs=1e-9)
 
     def test_oracle_exact_on_nearly_parallel_rows(self):
         # an equality pair and a nearly parallel row (the optimum is their
@@ -308,7 +323,7 @@ class TestFloatKernelProperty:
             ([1.48274073205856, 1.1707091443551005], 0.5052569693551436)))
         sol = solve(prob)
         assert sol.status == "optimal" and sol.kkt_residual <= 1e-12
-        assert np.abs(oracle(prob) - sol.u).max() <= 1e-12
+        assert np.abs(oracle(prob) - np.asarray(sol.u)).max() <= 1e-12
 
     def test_nearly_parallel_active_pair(self):
         # multipliers near 3e4 magnify any miss of the active rows in the KKT
@@ -317,7 +332,7 @@ class TestFloatKernelProperty:
                          rows=(([1.0, 0.24609375], 0.0), ([-2.25, -0.5625], 1.0)))
         sol = solve(prob)
         assert sol.status == "optimal" and sol.active_set == (0, 1)
-        assert sol.u.tolist() == pytest.approx([28.0, -1024.0 / 9.0], rel=1e-12)
+        assert list(sol.u) == pytest.approx([28.0, -1024.0 / 9.0], rel=1e-12)
         assert sol.kkt_residual <= 1e-9
 
 
@@ -333,16 +348,20 @@ class TestVerifyKkt:
         prob = QpProblem(dim=2, target=[3.0, 0.0], rows=(([1.0, 0.0], 4.0),))
         sol = solve(prob)
         # move along the constraint surface (feasible direction): stationarity breaks
-        u = (sol.u + np.array([0.0, 1e-2])).tolist()
+        u = (np.asarray(sol.u) + np.array([0.0, 1e-2])).tolist()
         assert qp._kkt_residual(prob, u, sol.active_set, [1.0], qp._residuals(prob, u)) > 1e-4
 
     def test_unconstrained_zero_residual(self):
         sol = solve(QpProblem(dim=3, target=[1.0, 2.0, 3.0]))
-        assert sol.u.tolist() == [1.0, 2.0, 3.0] and sol.kkt_residual == 0.0
+        assert list(sol.u) == [1.0, 2.0, 3.0] and sol.kkt_residual == 0.0
 
 
 def per_row_reference(dim, rows, box):
-    """(_G, _b, _degenerate) built row by row, the way the constructor once did."""
+    """(_G, _b, _degenerate) built row by row, the way the constructor once did.
+
+    Below dim 8 the norms are np.linalg.norm's; from 8 on, where numpy sums
+    pairwise, each squared norm is summed from 0.0 left to right, as the
+    constructor does at every dim."""
     rows = [(np.asarray(c, dtype=float), float(lb)) for c, lb in rows]
     n_user = len(rows)
     m = n_user + (2 * dim if box is not None else 0)
@@ -358,7 +377,13 @@ def per_row_reference(dim, rows, box):
         b[n_user + idx] = lo
         G[n_user + dim + idx, idx] = -1.0
         b[n_user + dim + idx] = -hi
-    norms = np.linalg.norm(G, axis=1)
+    if dim < 8:
+        norms = np.linalg.norm(G, axis=1)
+    else:
+        sq = np.zeros(m)
+        for k in range(dim):
+            sq += G[:, k] * G[:, k]
+        norms = np.sqrt(sq)
     scale = np.where(norms > 1e-13, norms, 1.0)
     return G / scale[:, None], b / scale, norms <= 1e-13
 
@@ -371,10 +396,10 @@ def assert_same_bytes(got, want):
 class TestConstructorBits:
     """The float-list constructor reproduces the row-by-row one byte for byte.
 
-    Internal form: normalized user rows (_G, _b) as lists of floats, the box
-    as bound lists (_lo, _hi), one tolerance per internal row (_tol), the
-    indices of degenerate rows, and _stacked(), the [G; I; -I] system of
-    the phase-1 LP.
+    Internal form: normalized user rows (_G, _b) as lists of floats, the
+    target and the box bounds as float tuples, one tolerance per internal row
+    (_tol), the indices of degenerate rows, and _stacked(), the [G; I; -I]
+    system of the phase-1 LP.
     """
 
     def check(self, dim, rows, box, target=None):
@@ -382,22 +407,24 @@ class TestConstructorBits:
         prob = QpProblem(dim=dim, target=target, rows=rows, box=box)
         G, b, degenerate = per_row_reference(dim, rows, box)
         n = len(rows)
-        assert all(type(x) is float for x in itertools.chain(prob._b, *prob._G))
+        assert all(type(x) is float for x in itertools.chain(prob._b, *prob._G, prob.target))
         assert_same_bytes(np.array(prob._G, dtype=float).reshape(n, dim), G[:n])
         assert_same_bytes(np.array(prob._b, dtype=float), b[:n])
         assert prob._degenerate == tuple(np.flatnonzero(degenerate).tolist())
         if box is None:
-            assert prob._lo is None and prob._hi is None
+            assert prob.box is None
         else:
-            assert_same_bytes(np.array(prob._lo), b[n:n + dim])
-            assert_same_bytes(-np.array(prob._hi), b[n + dim:])
+            assert all(type(x) is float for x in itertools.chain(*prob.box))
+            assert_same_bytes(np.array(prob.box[0]), b[n:n + dim])
+            assert_same_bytes(-np.array(prob.box[1]), b[n + dim:])
         assert_same_bytes(np.array(prob._tol), qp.FEAS_TOL * (1.0 + np.abs(b)))
         for got, want in zip(prob._stacked(), (G, b)):
             assert_same_bytes(got, want)
-        assert_same_bytes(prob.target, np.asarray(target, dtype=float))
+        assert_same_bytes(np.array(prob.target), np.asarray(target, dtype=float))
         return prob
 
     # 40 and 130 pass the unrolled-kernel limit and numpy's pairwise block
+    # (where the reference switches to left-to-right sums)
     @pytest.mark.parametrize("dim", [1, 2, 4, 8, 11, 40, 130])
     def test_random_problems(self, dim):
         rng = np.random.default_rng(dim)
@@ -479,8 +506,7 @@ def internal_bytes(prob):
         return np.asarray(x, dtype=float).tobytes()
 
     return (raw(prob._G), raw(prob._b), raw(prob._tol), prob._degenerate,
-            raw(prob._lo), raw(prob._hi), prob.box[0].tobytes(), prob.box[1].tobytes(),
-            raw(prob._u0), prob.target.tobytes())
+            raw(prob.box[0]), raw(prob.box[1]), raw(prob.target))
 
 
 @pytest.fixture(scope="module")
@@ -512,9 +538,9 @@ class TestSparseRows:
         assert {p.dim for p in captured_problems} == {1, 4}
         for prob in captured_problems:
             assert type(prob.rows) is qp.SparseRows
-            dense = QpProblem(dim=prob.dim, target=prob.target.tolist(),
+            dense = QpProblem(dim=prob.dim, target=list(prob.target),
                               rows=dense_rows(prob.rows, prob.dim),
-                              box=(prob.box[0].tolist(), prob.box[1].tolist()))
+                              box=(list(prob.box[0]), list(prob.box[1])))
             assert internal_bytes(prob) == internal_bytes(dense)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 7])
@@ -553,8 +579,8 @@ class TestSparseRows:
         box = ((-2.0, -1.0), (3.0, 4.0))
         a = QpProblem(dim=2, target=[0.0, 0.0], rows=qp.SparseRows(), box=box)
         b = QpProblem(dim=2, target=[1.0, 1.0], box=([-2.0, -1.0], np.array([3.0, 4.0])))
-        assert a.box[0] is b.box[0] and a._tol == b._tol
-        with pytest.raises(ValueError):
+        assert a.box is b.box and a._tol == b._tol
+        with pytest.raises(TypeError):
             a.box[1][0] = 0.0
 
     def test_zero_bounds_keep_their_sign(self):
@@ -562,7 +588,7 @@ class TestSparseRows:
         pos = QpProblem(dim=1, target=[0.0], box=([0.0], [1.0]))
         neg = QpProblem(dim=1, target=[0.0], box=([-0.0], [1.0]))
         assert not np.signbit(pos.box[0][0]) and np.signbit(neg.box[0][0])
-        assert math.copysign(1.0, neg._lo[0]) == -1.0
+        assert math.copysign(1.0, neg.box[0][0]) == -1.0
 
 
 def _fresh_interpreter(code, *args):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ffcbf.scenario import (
     check_assumption1,
     default_config,
     randomize_initial,
+    resolve_workers,
     run_batch,
     run_trial,
     trial_rng,
@@ -42,9 +44,9 @@ class TestWorldGeometry:
         cfg = default_config()
         world = build_world(cfg)
         ref = world.reference(0, 12.0, 6.0)
-        q0 = ref(0.0).q_star
-        q2 = ref(2.0).q_star
-        d = world.lanes[0].direction
+        q0 = np.asarray(ref(0.0).q_star)
+        q2 = np.asarray(ref(2.0).q_star)
+        d = np.asarray(world.lanes[0].direction)
         assert np.allclose(q2[:2] - q0[:2], 12.0 * d)
         assert np.allclose(q0[2:], 6.0 * d)
 
@@ -86,6 +88,12 @@ class TestWorldGeometry:
             default_config(num_vehicles=5)
 
 
+def lane_arrays(lane):
+    """(entry, direction, left normal) of a lane as arrays."""
+    entry, direction = np.asarray(lane.entry), np.asarray(lane.direction)
+    return entry, direction, np.array([-direction[1], direction[0]])
+
+
 class TestFloatGeometryBits:
     """References and exit checks in floats equal their array forms bit for bit."""
 
@@ -94,15 +102,16 @@ class TestFloatGeometryBits:
         ref = world.reference(0, d_i, speed)
         sigma, spd = ref._profile(t)
         radius = world.turn_radius
-        start = lane.entry - lane.direction * d_i
-        center = lane.entry + lane.normal * radius
-        theta0 = math.atan2(lane.entry[1] - center[1], lane.entry[0] - center[0])
+        entry, direction, normal = lane_arrays(lane)
+        start = entry - direction * d_i
+        center = entry + normal * radius
+        theta0 = math.atan2(entry[1] - center[1], entry[0] - center[0])
         arc_len = radius * math.pi / 2.0
-        exit_dir = np.array([-lane.direction[1], lane.direction[0]])
-        rel = lane.entry - center
+        exit_dir = np.array([-direction[1], direction[0]])
+        rel = entry - center
         exit_point = center + np.array([-rel[1], rel[0]])
         if sigma <= d_i:
-            p, tan = start + lane.direction * sigma, lane.direction
+            p, tan = start + direction * sigma, direction
         elif sigma <= d_i + arc_len:
             theta = theta0 + (sigma - d_i) / radius
             c, s = math.cos(theta), math.sin(theta)
@@ -116,22 +125,33 @@ class TestFloatGeometryBits:
         for index, lane in enumerate(world.lanes):
             for d_i, speed in ((9.3, 6.1), (14.0, 3.2)):
                 ref = world.reference(index, d_i, speed)
-                start = lane.entry - lane.direction * d_i
+                entry, direction, _ = lane_arrays(lane)
+                start = entry - direction * d_i
                 for t in np.linspace(0.0, 8.0, 161).tolist():
-                    got = ref(t).q_star
+                    got = np.asarray(ref(t).q_star)
                     if index == world.turn_vehicle:
                         want = self.turn_array_form(world, lane, d_i, speed, t)
                     else:
-                        p = start + lane.direction * (speed * t)
-                        v = lane.direction * speed
+                        p = start + direction * (speed * t)
+                        v = direction * speed
                         want = np.array([p[0], p[1], v[0], v[1]])
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_exit_checks(self):
         world = build_world(default_config(scenario="one_left_turn"))
         rng = np.random.default_rng(2)
-        for index in range(4):
+        for index, lane in enumerate(world.lanes):
+            entry, direction, normal = lane_arrays(lane)
+            if index == world.turn_vehicle:
+                center = entry + normal * world.turn_radius
+                rel = entry - center
+                want_frame = (center + np.array([-rel[1], rel[0]]),
+                              np.array([-direction[1], direction[0]]))
+            else:
+                want_frame = (entry + direction * (2.0 * world.config.box_half), direction)
             point, direction = world.exit_frame(index)
+            for got, want in zip((point, direction), want_frame):
+                assert np.asarray(got).tobytes() == want.tobytes()
             for x, y in rng.uniform(-12, 12, (200, 2)):
                 p = np.array([x, y]) - point
                 along = p[0] * direction[0] + p[1] * direction[1]
@@ -356,6 +376,12 @@ class TestRunBatch:
             if r.success and r.always_feasible and not r.unsafe:
                 assert r.trajectory is None
 
+    def test_worker_count_from_the_argument_or_the_cores(self, monkeypatch):
+        # no environment variable sets the pool size
+        monkeypatch.setenv("FFCBF_THREADS", "two")
+        assert resolve_workers(None) == (os.cpu_count() or 1)
+        assert resolve_workers(3) == 3 and resolve_workers(0) == 1
+
     def test_invalid_args(self):
         cfg = default_config()
         with pytest.raises(ScenarioError):
@@ -427,3 +453,21 @@ class TestConfigValidation:
     def test_negative_seed(self):
         with pytest.raises(ScenarioError):
             default_config(seed=-1)
+
+    @pytest.mark.parametrize("kw", [
+        dict(turn_speed=0.0), dict(turn_speed=-3.0), dict(ref_accel=0.0), dict(ref_accel=-6.0),
+    ])
+    def test_reference_speeds_positive(self, kw):
+        with pytest.raises(ScenarioError, match="turn_speed and ref_accel"):
+            default_config(scenario="one_left_turn", **kw)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(omega_v_ref=0.0), "omega_v_ref"),
+        (dict(omega_v_ref=-2.0), "omega_v_ref"),
+        (dict(beta_max=0.0), "beta_max"),
+        (dict(beta_max=math.pi / 2), "beta_max"),
+        (dict(beta_max=2.0), "beta_max"),
+    ])
+    def test_slip_shaping_in_range(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(controller=ControllerConfig(**kw))
