@@ -197,14 +197,31 @@ def write_trajectory_csv(path: str, log: TrajectoryLog) -> None:
 
 
 def read_trajectory_csv(path: str) -> TrajectoryLog:
+    """Parse a trial log written by write_trajectory_csv.  A file whose
+    header is not a trial log's, with no sample rows, or with a row that is
+    short or holds a non-number (as a file cut off mid-write does), is a
+    ScenarioError."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        data = np.array([[float(x) for x in line.strip().split(",")]
-                         for line in fh if line.strip()])
+        lines = [(k, line.strip().split(",")) for k, line in enumerate(fh, 2) if line.strip()]
     n_vehicles = sum(1 for c in header if c.endswith("_x") and c.startswith("v"))
     pairs = tuple(
-        (int(c[4]), int(c[5])) for c in header if c.startswith("pair") and c.endswith("_hb")
+        (int(c[4]), int(c[5])) for c in header
+        if c.startswith("pair") and c.endswith("_hb") and c[4:6].isdigit()
     )
+    if header != trajectory_header(n_vehicles, pairs):
+        raise ScenarioError(f"{path} is not a trial log: its header does not match")
+    if not lines:
+        raise ScenarioError(f"trajectory log {path} has no samples")
+    rows = []
+    for k, values in lines:
+        try:
+            if len(values) != len(header):
+                raise ValueError(f"{len(values)} fields, the header has {len(header)}")
+            rows.append([float(x) for x in values])
+        except ValueError as exc:
+            raise ScenarioError(f"trajectory log {path} line {k}: {exc}") from None
+    data = np.array(rows)
     n_pairs = len(pairs)
     t = data[:, 0]
     blk = data[:, 1:1 + 7 * n_vehicles].reshape(-1, n_vehicles, 7)

@@ -24,8 +24,10 @@ The first iterate is the box-clipped target with its clipped bounds active
 answer, the common control tick.  A warm start replaces it with the
 projection onto the warm rows, skipping rows in the span of those kept and
 dropping the most negative multiplier until none is negative: a poor warm
-start costs steps, never correctness.  The minimum-slack LP (linprog, a
-dense simplex) runs only after an infeasible verdict, to report the slack.
+start costs steps, never correctness.  No control law reads the diagnostics
+of a solution, so solve() computes neither on the tick: the KKT residual of
+an iterated answer and the minimum-slack LP (linprog, a dense simplex) of an
+infeasible verdict run on their first read.
 
 Problems here are tiny (a handful of variables, tens of rows) and one is
 built and solved on every control tick, where the fixed cost of a numpy call
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, le, mul, sub
@@ -351,21 +354,35 @@ class QpSolution:
     warm_start on the next, similarly-structured problem.  iterations counts
     the dual steps after the first iterate, each of which either adds the
     violated row or drops a blocking one: 0 means the clipped target or the
-    warm-start projection was already optimal.  phase1_slack is set only on
-    an infeasible verdict: the LP's minimum over u of the largest row
-    violation (or the bound of a degenerate row), nan otherwise.
-    iteration_limited marks problems abandoned at the iteration cap
-    (reported infeasible, without an LP, and logged distinctly from
-    certified infeasibility).
+    warm-start projection was already optimal.  iteration_limited marks
+    problems abandoned at the iteration cap (reported infeasible, and logged
+    distinctly from certified infeasibility).
+
+    kkt_residual and phase1_slack are diagnostics, computed on first read and
+    cached; repr and == leave them out and never compute them.  kkt_residual
+    is the max KKT violation at an optimum, nan otherwise.  phase1_slack is
+    set only on an infeasible verdict: the bound of a degenerate row when
+    that decided it, else the LP's minimum over u of the largest row
+    violation (qp.linprog runs on the read, and raises RuntimeError there at
+    its pivot cap); nan for optimal and iteration-limited solves.
     """
 
     status: str                      # "optimal" | "infeasible"
     u: tuple | None                  # one float per variable
     active_set: tuple = ()
-    kkt_residual: float = float("nan")
     iterations: int = 0
     iteration_limited: bool = False
-    phase1_slack: float = field(default=float("nan"))
+    # Each diagnostic as a float, or the call that computes it on first read.
+    _kkt: float | Callable[[], float] = field(default=math.nan, repr=False, compare=False)
+    _slack: float | Callable[[], float] = field(default=math.nan, repr=False, compare=False)
+
+    @functools.cached_property
+    def kkt_residual(self) -> float:
+        return self._kkt() if callable(self._kkt) else self._kkt
+
+    @functools.cached_property
+    def phase1_slack(self) -> float:
+        return self._slack() if callable(self._slack) else self._slack
 
 
 def _residuals(problem: QpProblem, u: list) -> list:
@@ -486,7 +503,7 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
     if problem._degenerate:
         worst = max(b[r] for r in problem._degenerate)
         if worst > FEAS_TOL:
-            return QpSolution(status="infeasible", u=None, phase1_slack=worst)
+            return QpSolution(status="infeasible", u=None, _slack=worst)
 
     # First iterate: the target clipped to the box, in one pass with the same
     # comparisons as np.clip; each clipped bound is active with the clip
@@ -512,7 +529,7 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
     if min(map(add, res, tol), default=0.0) >= 0.0:
         return QpSolution(
             status="optimal", u=tuple(x), active_set=tuple(active),
-            kkt_residual=max(0.0, -min(res)) if res else 0.0,
+            _kkt=max(0.0, -min(res)) if res else 0.0,
         )
 
     warm = [int(r) for r in warm_start if 0 <= int(r) < m] if warm_start else []
@@ -573,9 +590,9 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
             if zz > _DEP_TOL and -s <= t * zz:  # p reaches its bound first
                 t, k = -s / zz, -1
             elif k < 0:  # g_p = G_A^T r with r <= 0: no point meets A and p
-                slack = linprog(*problem._stacked())[1]
+                # linprog is looked up on the read: a replaced attribute runs
                 return QpSolution(status="infeasible", u=None, iterations=iterations,
-                                  phase1_slack=slack)
+                                  _slack=lambda: linprog(*problem._stacked())[1])
             lam = [lj - t * rj for lj, rj in zip(lam, r)]
             lam_p += t
             if zz > _DEP_TOL:
@@ -599,6 +616,6 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
         status="optimal",
         u=tuple(x),
         active_set=active,
-        kkt_residual=_kkt_residual(problem, x, active, lam, res),
+        _kkt=functools.partial(_kkt_residual, problem, x, active, lam, res),
         iterations=iterations,
     )

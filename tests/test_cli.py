@@ -245,6 +245,23 @@ class TestTrajectoryFiles:
             for c in h0_cols:
                 assert float(vals[c]) >= 0.0
 
+    @pytest.mark.parametrize("cut", ["header-only", "mid-row", "replay-output"])
+    def test_replay_rejects_a_malformed_log(self, tmp_path, capsys, cut):
+        src = tmp_path / "trial.csv"
+        write_trajectory_csv(str(src), self.make_log())
+        text = src.read_text()
+        if cut == "header-only":
+            src.write_text(text[:text.index("\n") + 1])
+        elif cut == "mid-row":  # a file cut off inside its last row
+            src.write_text(text[:text.rindex(",", 0, len(text) - 1) - 3])
+        else:  # plot columns, not a trial log
+            assert main(["replay", "--trial-log", str(src), "--out", str(tmp_path / "p.csv")]) == 0
+            src = tmp_path / "p.csv"
+        capsys.readouterr()
+        rc = main(["replay", "--trial-log", str(src), "--out", str(tmp_path / "r.csv")])
+        assert rc == 2 and capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "r.csv").exists()
+
     def test_replay_missing_log(self, tmp_path):
         rc = main(["replay", "--trial-log", str(tmp_path / "gone.csv"),
                    "--out", str(tmp_path / "r.csv")])

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -283,15 +284,19 @@ class TestFloatKernelProperty:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(qp, "linprog", lambda G, b: calls.append(1) or real(G, b))
             sol = solve(prob, warm_start=warm)
-        ref = oracle(prob)
-        assert sol.status == ("infeasible" if ref is None else "optimal")
-        if ref is not None:
-            assert np.abs(np.asarray(sol.u) - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
-            assert sol.kkt_residual <= 1e-8
-            assert not calls  # the LP stays off feasible problems
-        elif max((prob._b[r] for r in prob._degenerate), default=0.0) <= qp.FEAS_TOL:
-            # a verdict of the dual method: the LP runs once, to report the slack
-            assert len(calls) == 1 and sol.phase1_slack > qp.PHASE1_TOL
+            assert not calls  # solve itself never runs the LP
+            ref = oracle(prob)
+            assert sol.status == ("infeasible" if ref is None else "optimal")
+            if ref is not None:
+                assert np.abs(np.asarray(sol.u) - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
+                assert sol.kkt_residual <= 1e-8
+                assert math.isnan(sol.phase1_slack) and not calls
+                return
+            # a degenerate row's bound, or the LP run once, on the first read
+            lp_runs = int(max((prob._b[r] for r in prob._degenerate), default=0.0) <= qp.FEAS_TOL)
+            slack = sol.phase1_slack
+            assert slack > qp.PHASE1_TOL and len(calls) == lp_runs
+            assert sol.phase1_slack == slack and len(calls) == lp_runs  # cached
 
     def test_same_row_twice(self):
         # the second copy lies in the span of the first and never enters
@@ -354,6 +359,70 @@ class TestVerifyKkt:
     def test_unconstrained_zero_residual(self):
         sol = solve(QpProblem(dim=3, target=[1.0, 2.0, 3.0]))
         assert list(sol.u) == [1.0, 2.0, 3.0] and sol.kkt_residual == 0.0
+
+
+@pytest.fixture(scope="module")
+def left_turn_solves():
+    """(problem, solution) of every solve in trial 0 of the seed-0 ff
+    left-turn cells, centralized and decentralized; no diagnostic is read."""
+    solves = []
+    real = qp.solve
+
+    def capture(problem, warm_start=None):
+        solves.append((problem, real(problem, warm_start)))
+        return solves[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "solve", capture)
+        for mode in ("centralized", "decentralized"):
+            run_trial(default_config("ff", mode, "one_left_turn", seed=0), 0)
+    return solves
+
+
+class TestDiagnosticsOnRead:
+    """kkt_residual and phase1_slack: computed on first read, to the bits of
+    the computations solve() used to make on every tick."""
+
+    def test_captured_ticks_read_the_eager_values(self, left_turn_solves):
+        seen = Counter()
+        for prob, sol in left_turn_solves:
+            assert not {"kkt_residual", "phase1_slack"} & vars(sol).keys()
+            worst = max((prob._b[r] for r in prob._degenerate), default=0.0)
+            if sol.status == "optimal":
+                u = list(sol.u)
+                res = qp._residuals(prob, u)
+                if callable(sol._kkt):  # an iterated answer, with solve's multipliers
+                    _, x, active, lam, kept = sol._kkt.args
+                    assert (x, active, kept) == (u, sol.active_set, res)
+                    want, kind = qp._kkt_residual(prob, u, sol.active_set, lam, res), "iterated"
+                else:  # the clipped target: its largest row violation
+                    want, kind = max(0.0, -min(res[:len(prob._b)], default=0.0)), "fast"
+                assert sol.kkt_residual == want and math.isnan(sol.phase1_slack)
+            else:
+                assert math.isnan(sol.kkt_residual) and not sol.iteration_limited
+                if worst > qp.FEAS_TOL:
+                    want, kind = worst, "degenerate"
+                else:
+                    want, kind = qp.linprog(*prob._stacked())[1], "dual verdict"
+                assert sol.phase1_slack == want and want > qp.PHASE1_TOL
+            seen[kind] += 1
+        assert seen["iterated"] and seen["fast"] and seen["dual verdict"] > 10, seen
+
+    def test_repr_and_eq_compute_nothing(self, monkeypatch):
+        def no_lp(G, b):
+            raise AssertionError("the LP ran")
+
+        monkeypatch.setattr(qp, "linprog", no_lp)
+        infeasible = QpProblem(dim=2, target=[3.0, 0.0],
+                               rows=(([1.0, 0.0], 5.0), ([-1.0, 0.0], -4.0)))
+        iterated = QpProblem(dim=2, target=[0.0, 0.0],
+                             rows=(([1.0, 1.0], 2.0), ([1.0, -1.0], 1.0)))
+        for prob in (infeasible, iterated):
+            sol, again = solve(prob), solve(prob)
+            assert sol == again and repr(sol) == repr(again)
+            assert "kkt_residual" not in repr(sol) and "phase1_slack" not in repr(sol)
+            assert not {"kkt_residual", "phase1_slack"} & vars(sol).keys()
+        assert solve(iterated).iterations > 0
 
 
 def per_row_reference(dim, rows, box):
@@ -619,14 +688,15 @@ class TestLazyScipy:
         assert modules.strip() == "[]"
 
     def test_compare_run_leaves_scipy_unloaded(self, tmp_path):
-        # a centralized left-turn compare run reaches phase 1 on its infeasible ticks
+        # a centralized left-turn compare run has infeasible ticks, and no
+        # caller reads their phase1_slack: the LP never runs
         code = ("import json; from ffcbf import cli, qp; calls = []; real = qp.linprog; "
                 "qp.linprog = lambda G, b: calls.append(1) or real(G, b); "
                 "rc = cli.main(['compare', '--mode', 'centralized', '--scenario', 'left-turn', "
                 "'--trials', '2', '--seed', '0', '--workers', '1', '--out', sys.argv[2]]); "
                 f"print(json.dumps([rc, len(calls), {_SCIPY_MODULES}]))")
         rc, calls, modules = json.loads(_fresh_interpreter(code, str(tmp_path)).splitlines()[-1])
-        assert rc == 0 and calls > 0
+        assert rc == 0 and calls == 0
         assert modules == []
 
     def test_phase1_calls_the_module_attribute(self, monkeypatch):
@@ -640,8 +710,9 @@ class TestLazyScipy:
         monkeypatch.setattr(qp, "linprog", counting)
         prob = QpProblem(dim=2, target=[3.0, 0.0],
                          rows=(([1.0, 0.0], 5.0), ([-1.0, 0.0], -4.0)))
-        assert solve(prob).status == "infeasible"
-        assert calls
+        sol = solve(prob)
+        assert sol.status == "infeasible" and not calls
+        assert sol.phase1_slack == pytest.approx(0.5) and calls == [1]
 
 
 def highs_min_slack(G, b):
@@ -785,5 +856,7 @@ class TestPhase1Lp:
         monkeypatch.setattr(qp, "LP_MAX_PIVOTS", 0)
         with pytest.raises(RuntimeError, match="phase-1 LP failed"):
             qp.linprog(*prob._stacked())
+        sol = solve(prob)  # the verdict comes from the dual method alone
+        assert sol.status == "infeasible" and sol.u is None
         with pytest.raises(RuntimeError, match="phase-1 LP failed"):
-            solve(prob)
+            sol.phase1_slack
