@@ -105,7 +105,7 @@ class BarrierEval(NamedTuple):
     gamma_j: float
 
 
-def h_speed(state: VehicleState, v_max: float, alpha_gain: float = 10.0):
+def h_speed(state: VehicleState, v_max: float, alpha_gain: float):
     """Speed barrier (v_max - v) * v with its QP row.
 
     vdot = a exactly, so the drift Lie term vanishes and the row is
@@ -216,8 +216,8 @@ def constraint_row(
     exogenous_omega_j: float,
     alpha_gain: float,
     rff: RffParams,
-    hocbf_gain: float = 2.1,
-    zero_margin: float = 0.05,
+    hocbf_gain: float,
+    zero_margin: float,
 ) -> BarrierEval:
     """Assemble the QP row of a pairwise barrier for decision variables (a_i, a_j).
 

@@ -19,11 +19,11 @@ through one strictly convex QP per tick:
   epsilon is subtracted from each row's left-hand side.
 
 Each builder computes every vehicle's planar terms (barriers._vehicle_planar)
-once per tick and reads them for all pair rows the vehicle is in.  Rows go
-to qp.QpProblem as qp.SparseRows, each row's nonzero (index, coeff) pairs:
-one per speed row and per decentralized pair row, two per centralized pair
-row.  The box is the same pair of tuples on every tick, so qp takes its
-bounds and tolerances from its box cache.  Every per-tick vector is plain
+once per tick and reads them for all pair rows the vehicle is in.  Each
+row goes to qp.QpProblem as its nonzero (index, coeff) pairs and its lower
+bound: one pair per speed row and per decentralized pair row, two per
+centralized pair row.  The box is the same pair of tuples on every tick, so
+qp takes its bounds and tolerances from its box cache.  Every per-tick vector is plain
 floats: the target q*, the gain, the QP's target and its answer.
 
 An infeasible QP applies maximum braking and reports feasible=False.
@@ -124,6 +124,10 @@ class ControllerConfig:
             raise ValueError("gains and bounds must be positive")
         if not self.omega_v_ref > 0:
             raise ValueError("omega_v_ref must be positive")
+        if not (self.speed_alpha > 0 and self.hocbf_gain > 0 and self.v_eps > 0):
+            raise ValueError("speed_alpha, hocbf_gain and v_eps must be positive")
+        if not (self.zero_margin >= 0 and self.decentral_eps >= 0):
+            raise ValueError("zero_margin and decentral_eps must be nonnegative")
         if not 0.0 < self.beta_max < math.pi / 2:
             raise ValueError("beta_max must lie in (0, pi/2)")
         self.lqr_gain = lqr_gain(self.lqr_q_pos, self.lqr_q_vel, self.lqr_r)
@@ -134,7 +138,7 @@ def nominal_control(
     target: NominalTarget,
     gain: tuple,
     params: VehicleParams,
-    v_eps: float = 1e-3,
+    v_eps: float,
 ) -> tuple[float, float]:
     """LQR planar acceleration mapped to (omega0, a0) through the S matrix."""
     xd, yd, tb, s12, s22, s11, s21 = state.trig
@@ -195,8 +199,9 @@ def _max_braking(state: VehicleState, config: ControllerConfig) -> float:
     """Strongest deceleration that still respects the speed-limit row.
 
     Used as the fallback when the pairwise program is infeasible: brake as
-    hard as possible without reversing (the speed barrier bounds a >= -10 v
-    near standstill, so v decays to zero instead of crossing it).
+    hard as possible without reversing (the speed barrier bounds
+    a >= -speed_alpha * v near standstill, so v decays to zero instead of
+    crossing it).
     """
     _, phi, gamma = h_speed(state, config.v_max, config.speed_alpha)
     if gamma > 0.0:
@@ -228,7 +233,7 @@ def build_centralized_qp(states, targets, config: ControllerConfig):
                 alpha_gain, rff, hocbf_gain, zero_margin,
             )
             rows.append((((i, gamma_i), (j, gamma_j)), -phi))
-    problem = qp.QpProblem(dim=n, target=accels, rows=qp.SparseRows(rows),
+    problem = qp.QpProblem(dim=n, target=accels, rows=rows,
                            box=((-config.a_bar,) * n, (config.a_bar,) * n))
     return problem, omegas, accels
 
@@ -267,7 +272,7 @@ def build_decentralized_qp(ego_index, states, target_ego, config: ControllerConf
             config.alpha_gain, config.rff, config.hocbf_gain, config.zero_margin,
         )
         rows.append((((0, ev.gamma_i),), -(ev.phi - config.decentral_eps)))
-    problem = qp.QpProblem(dim=1, target=[a0], rows=qp.SparseRows(rows),
+    problem = qp.QpProblem(dim=1, target=[a0], rows=rows,
                            box=((-config.a_bar,), (config.a_bar,)))
     return problem, w_star, a0
 

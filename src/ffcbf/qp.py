@@ -33,17 +33,18 @@ Problems here are tiny (a handful of variables, tens of rows) and one is
 built and solved on every control tick, where the fixed cost of a numpy call
 exceeds the arithmetic it does.  So the problem and the kernel are plain
 Python floats: the target is a float tuple, the box a pair of float tuples
-and the answer a float tuple.  QpProblem takes rows in two forms: dense
-(coeffs, lower_bound) rows, which it validates and converts, or SparseRows,
-each row's nonzero (index, coeff) pairs, which the controllers build on
-every tick.  One routine normalizes both into float lists, with each squared
-norm summed from 0.0 left to right, so a sparse row equals its dense form
-bit for bit.  Box bounds stay bounds, read coordinate by coordinate (a box
-row that enters A is expanded to +-e_i there); a box's bound tuples and
-tolerances are computed once and kept in a small cache, as the controllers
-pass the same box every tick.  Dot products accumulate left to right from
-0.0, and G_A^T = Q R is kept factored by modified Gram-Schmidt, extended as
-a row enters and redone from a row that leaves.  numpy only runs the LP, so
+and the answer a float tuple.  QpProblem takes each row as its nonzero
+(index, coeff) pairs and a lower bound, the form the controllers build on
+every tick: a barrier row couples at most two vehicles.  One routine
+validates the rows and normalizes them into float lists, with each squared
+norm summed from 0.0 left to right; a coefficient left out is +0.0, so a
+row gives the same bits whether its +0.0 entries are listed or not.  Box
+bounds stay bounds, read coordinate by coordinate (a box row that enters A
+is expanded to +-e_i there); a box's bound tuples and tolerances are
+computed once and kept in a small cache, as the controllers pass the same
+box every tick.  Dot products accumulate left to right from 0.0, and
+G_A^T = Q R is kept factored by modified Gram-Schmidt, extended as a row
+enters and redone from a row that leaves.  numpy only runs the LP, so
 the same bits come out on any machine, whatever BLAS numpy uses.
 """
 
@@ -58,7 +59,7 @@ from operator import add, le, mul, sub
 
 import numpy as np
 
-__all__ = ["QpProblem", "QpSolution", "SparseRows", "solve"]
+__all__ = ["QpProblem", "QpSolution", "solve"]
 
 FEAS_TOL = 1e-8        # row feasibility, absolute + relative in the bound
 DUAL_TOL = 1e-9        # multipliers may be this negative at the optimum
@@ -176,25 +177,16 @@ def _kernels(n: int):
     )
 
 
-class SparseRows(tuple):
-    """QpProblem rows given by their nonzeros, the form the controllers build.
-
-    Each entry is (((index, coeff), ...), lower_bound) with indices strictly
-    increasing in [0, dim); a coefficient not listed is zero.  A speed-limit
-    row has one nonzero and a pair row two.
-    """
-
-    __slots__ = ()
-
-
 def _normalize(dim: int, rows) -> tuple:
-    """(G, b, degenerate, check) of rows in the SparseRows form.
+    """(G, b, degenerate, check) of rows (((index, coeff), ...), lower_bound).
 
     Each row is scaled by its norm, or kept as given (and its index recorded
     in degenerate) when the norm is below _NORM_EPS.  The squared norm is
-    summed from 0.0 left to right over the listed entries; adding +0.0 is
-    exact, so a sparse row normalizes to the bits of its dense form.  check
-    is the sum of every squared norm and bound: non-finite if any value is.
+    summed from 0.0 left to right over the listed entries, so listing a +0.0
+    entry or leaving it out gives the same bits.  check is the sum of every
+    squared norm and bound: non-finite if any value is.  Indices out of
+    order or range, and rows in another form such as dense (coeffs,
+    lower_bound), raise TypeError or ValueError.
     """
     scaled = _kernels(dim)[2]
     G, b, degenerate = [], [], []
@@ -241,19 +233,21 @@ class QpProblem:
     """1/2 ||u - target||^2 under rows coeff.u >= lower_bound and box bounds.
 
     target is any length-dim sequence of numbers; rows is a sequence of
-    (coeffs, lower_bound) with coeffs any length-dim sequence, or a
-    SparseRows; box is (lower, upper) sequences or None for an unbounded
+    (((index, coeff), ...), lower_bound), each row's nonzero coefficients
+    with strictly increasing indices in [0, dim) (a speed row has one, a
+    pair row two); box is (lower, upper) sequences or None for an unbounded
     variable vector.  Every input is validated: non-finite values, wrong
-    lengths, nested or non-numeric entries, sparse indices out of range or
-    out of order and lower > upper raise ValueError.  The constructed
-    problem holds target as a float tuple and box as a pair of float tuples,
-    the form the solver reads.
+    lengths, nested or non-numeric entries, row indices out of range or out
+    of order, rows in any other form and lower > upper raise ValueError.
+    The constructed problem holds rows as a tuple, target as a float tuple
+    and box as a pair of float tuples, the form the solver reads.  Row
+    numbers are read as given, not converted: pass Python floats, as the
+    controllers do, for an answer of Python floats.
 
     Internal rows are indexed as in QpSolution.active_set: the user's rows
-    (normalized, _G and _b), then the box lower bounds, then the upper
-    bounds; _tol holds the feasibility tolerance of each.  Both row forms go
-    through _normalize, and a box's bounds and tolerances are computed once
-    and cached.
+    (normalized by _normalize, _G and _b), then the box lower bounds, then
+    the upper bounds; _tol holds the feasibility tolerance of each.  A box's
+    bounds and tolerances are computed once and cached.
     """
 
     dim: int
@@ -274,19 +268,10 @@ class QpProblem:
             target = floats(self.target)
         except (TypeError, ValueError) as exc:  # scalar, nested or non-numeric
             raise ValueError(f"malformed target: {exc}") from None
-        rows = self.rows
         try:
-            if type(rows) is SparseRows:
-                sparse = rows
-            else:
-                rows = tuple(rows)
-                sparse = []
-                for coeffs, lb in rows:
-                    if len(coeffs) != dim:
-                        raise ValueError(f"row length {len(coeffs)} != {dim}")
-                    sparse.append((tuple(enumerate(floats(coeffs))), float(lb)))
-            G, b, degenerate, check = _normalize(dim, sparse)
-        except (TypeError, ValueError) as exc:  # ragged, scalar or non-numeric rows
+            rows = tuple(self.rows)
+            G, b, degenerate, check = _normalize(dim, rows)
+        except (TypeError, ValueError) as exc:  # dense, unnested or non-numeric rows
             raise ValueError(f"malformed rows: {exc}") from None
         # A NaN or inf in any input makes check non-finite (so does an
         # overflow of finite values, which the exact checks below let pass).
@@ -294,7 +279,7 @@ class QpProblem:
         if not math.isfinite(check):
             if not all(map(math.isfinite, target)):
                 raise ValueError("non-finite target")
-            for pairs, lb in sparse:
+            for pairs, lb in rows:
                 if not all(map(math.isfinite, (*(c for _, c in pairs), lb))):
                     raise ValueError("non-finite row")
         tol = [FEAS_TOL * (1.0 + abs(x)) for x in b]

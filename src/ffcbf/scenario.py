@@ -105,6 +105,10 @@ class ScenarioConfig:
             raise ScenarioError("lane centerlines must fall inside the box")
         if not (self.turn_speed > 0 and self.ref_accel > 0):
             raise ScenarioError("turn_speed and ref_accel must be positive")
+        if not (self.exit_lateral_tol > 0 and self.stop_speed > 0 and self.deadlock_window > 0):
+            raise ScenarioError("exit_lateral_tol, stop_speed and deadlock_window must be positive")
+        if not self.max_resamples >= 0:
+            raise ScenarioError("max_resamples must be nonnegative")
         # opposing lanes are lane_width apart: at 2R >= lane_width two
         # opposing vehicles could never pass each other safely
         if 2.0 * self.controller.rff.ff.R >= self.lane_width:

@@ -18,11 +18,14 @@ from ffcbf.barriers import (
     tau_hat,
     tau_star_hat,
 )
+from ffcbf.controllers import ControllerConfig
 from ffcbf.dynamics import ControlInput, VehicleParams, VehicleState, planar_velocity, step
 
 VEH = VehicleParams()
 FF = FfParams(R=1.25)
 RFF = RffParams(ff=FF)
+CTRL = ControllerConfig()
+HOCBF, MARGIN = CTRL.hocbf_gain, CTRL.zero_margin
 
 
 def random_state(rng, pos=30.0, vmax=10.0):
@@ -45,27 +48,29 @@ def pair_tau_hat(a, b):
 
 
 class TestSpeedBarrier:
+    ALPHA = CTRL.speed_alpha
+
     def test_at_rest(self):
-        value, phi, gamma = h_speed(VehicleState(0, 0, 0, 0, 0), 10.0)
+        value, phi, gamma = h_speed(VehicleState(0, 0, 0, 0, 0), 10.0, self.ALPHA)
         assert value == 0.0 and phi == 0.0 and gamma == 10.0
 
     def test_at_limit(self):
-        value, _, _ = h_speed(VehicleState(0, 0, 0, 0, 10.0), 10.0)
+        value, _, _ = h_speed(VehicleState(0, 0, 0, 0, 10.0), 10.0, self.ALPHA)
         assert value == 0.0
 
     def test_midpoint(self):
-        value, phi, gamma = h_speed(VehicleState(0, 0, 0, 0, 5.0), 10.0)
-        assert value == 25.0 and gamma == 0.0 and phi == 250.0
+        value, phi, gamma = h_speed(VehicleState(0, 0, 0, 0, 5.0), 10.0, self.ALPHA)
+        assert value == 25.0 and gamma == 0.0 and phi == self.ALPHA * 25.0
 
     def test_row_is_hdot(self):
         # d/dt[(vmax - v) v] = (vmax - 2v) a exactly
         st0 = VehicleState(0, 0, 0, 0, 4.0)
         a = 1.7
-        _, _, gamma = h_speed(st0, 10.0)
+        _, _, gamma = h_speed(st0, 10.0, self.ALPHA)
         delta = 1e-6
         plus = step(st0, ControlInput(0, a), VEH, delta)
-        v1, _, _ = h_speed(plus, 10.0)
-        v0, _, _ = h_speed(st0, 10.0)
+        v1, _, _ = h_speed(plus, 10.0, self.ALPHA)
+        v0, _, _ = h_speed(st0, 10.0, self.ALPHA)
         assert (v1 - v0) / delta == pytest.approx(gamma * a, rel=1e-4)
 
 
@@ -191,7 +196,8 @@ class TestRelativeKinematics:
     def test_identical_states(self):
         # xi = nu = 0: the distance row has no acceleration coefficients
         a = VehicleState(1, 2, 0.5, 0.1, 3)
-        ev = constraint_row("zero", planar(a), planar(a), 0.3, -0.2, 10.0, RFF, zero_margin=0.0)
+        ev = constraint_row("zero", planar(a), planar(a), 0.3, -0.2, 10.0, RFF,
+                            hocbf_gain=HOCBF, zero_margin=0.0)
         assert ev.gamma_i == ev.gamma_j == 0.0
         assert ev.value == h0(a, a, FF.R) == -4.0 * FF.R ** 2
 
@@ -201,7 +207,7 @@ class TestRelativeKinematics:
         b = VehicleState(5, 5, 0.7, 0.2, 0)
         assert b.trig[5:7] == planar(b)[4:6] == (0.0, 0.0)
         for kind in ("zero", "ff", "rff"):
-            rows = [constraint_row(kind, planar(a), planar(b), 0.4, wb, 10.0, RFF)
+            rows = [constraint_row(kind, planar(a), planar(b), 0.4, wb, 10.0, RFF, HOCBF, MARGIN)
                     for wb in (-1.0, 1.0)]
             assert rows[0] == rows[1], kind
 
@@ -258,7 +264,7 @@ class TestConstraintRow:
                     continue  # measure-zero kink of k0: one-sided by design
             (a_mid, b_mid), fd = self.fd_hdot(kind, a, b, ua, ub)
             ev = constraint_row(kind, planar(a_mid), planar(b_mid), ua.omega, ub.omega,
-                                self.ALPHA, RFF)
+                                self.ALPHA, RFF, HOCBF, MARGIN)
             pred = row_prediction(kind, ev, self.ALPHA, ua.a, ub.a)
             assert abs(fd - pred) <= 1e-4 * (1.0 + max(abs(fd), abs(pred))), (kind, a, b)
             n_checked += 1
@@ -304,7 +310,7 @@ class TestConstraintRow:
             ts = tau_star_hat(xi, nu, FF.epsilon)
             if not 0.05 <= ts <= FF.tau_bar - 0.05:
                 continue
-            ev = constraint_row("ff", planar(a), planar(b), 0.0, 0.0, self.ALPHA, RFF)
+            ev = constraint_row("ff", planar(a), planar(b), 0.0, 0.0, self.ALPHA, RFF, HOCBF, MARGIN)
             assert abs(ev.phi - self.ALPHA * ev.value) <= 1e-6
             checked += 1
 
@@ -314,8 +320,8 @@ class TestConstraintRow:
         for _ in range(50):
             a, b = random_state(rng), random_state(rng)
             wa, wb = rng.uniform(-1, 1), rng.uniform(-1, 1)
-            ev = constraint_row(kind, planar(a), planar(b), wa, wb, self.ALPHA, RFF)
-            sw = constraint_row(kind, planar(b), planar(a), wb, wa, self.ALPHA, RFF)
+            ev = constraint_row(kind, planar(a), planar(b), wa, wb, self.ALPHA, RFF, HOCBF, MARGIN)
+            sw = constraint_row(kind, planar(b), planar(a), wb, wa, self.ALPHA, RFF, HOCBF, MARGIN)
             assert sw.value == pytest.approx(ev.value, rel=1e-12, abs=1e-12)
             assert sw.phi == pytest.approx(ev.phi, rel=1e-9, abs=1e-9)
             assert sw.gamma_i == pytest.approx(ev.gamma_j, rel=1e-12, abs=1e-12)
@@ -324,4 +330,4 @@ class TestConstraintRow:
     def test_unknown_kind(self):
         a = VehicleState(0, 0, 0, 0, 1)
         with pytest.raises(ValueError):
-            constraint_row("bogus", planar(a), planar(a), 0, 0, 10.0, RFF)
+            constraint_row("bogus", planar(a), planar(a), 0, 0, 10.0, RFF, HOCBF, MARGIN)

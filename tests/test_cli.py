@@ -138,6 +138,16 @@ class TestCmdRun:
         ({"scenario": "one_left_turn", "ref_accel": 0.0}, "turn_speed and ref_accel"),
         ({"controller": {"omega_v_ref": 0.0}}, "omega_v_ref must be positive"),
         ({"controller": {"beta_max": 1.6}}, "beta_max must lie in"),
+        # each of these once ran, silently changing or breaking the trials
+        ({"exit_lateral_tol": -0.1}, "exit_lateral_tol, stop_speed and deadlock_window"),
+        ({"stop_speed": 0.0}, "exit_lateral_tol, stop_speed and deadlock_window"),
+        ({"deadlock_window": -1}, "exit_lateral_tol, stop_speed and deadlock_window"),
+        ({"max_resamples": -1}, "max_resamples must be nonnegative"),
+        ({"controller": {"speed_alpha": 0.0}}, "speed_alpha, hocbf_gain and v_eps"),
+        ({"controller": {"hocbf_gain": -2.1}}, "speed_alpha, hocbf_gain and v_eps"),
+        ({"controller": {"v_eps": 0.0}}, "speed_alpha, hocbf_gain and v_eps"),
+        ({"controller": {"zero_margin": -0.05}}, "zero_margin and decentral_eps"),
+        ({"controller": {"decentral_eps": -1e-9}}, "zero_margin and decentral_eps"),
     ])
     def test_bad_config_value_is_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"

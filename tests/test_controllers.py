@@ -38,7 +38,7 @@ def target_for(state, speed=None):
 
 
 def dense_rows(problem):
-    """(coeffs, lower_bound) of every row of a builder's SparseRows problem."""
+    """(coeffs, lower_bound) of every row of a builder's problem."""
     rows = []
     for pairs, lb in problem.rows:
         coeffs = np.zeros(problem.dim)
@@ -115,17 +115,18 @@ class TestLqrGain:
 
 class TestNominalControl:
     GAIN = lqr_gain(1.0, 2.0, 1.0)
+    V_EPS = ControllerConfig().v_eps
 
     def test_on_target_is_zero(self):
         st = VehicleState(3.0, -2.0, 0.4, 0.0, 5.0)
-        w0, a0 = nominal_control(st, target_for(st), self.GAIN, VEH)
+        w0, a0 = nominal_control(st, target_for(st), self.GAIN, VEH, self.V_EPS)
         assert (w0, a0) == pytest.approx((0.0, 0.0), abs=1e-12)
 
     def test_singular_branch(self):
         # at rest the S matrix is singular: omega = 0, a = ||mu||
         st = VehicleState(0.0, 0.0, 0.3, 0.1, 0.0)
         tgt = NominalTarget(np.array([1.0, 0.0, 0.0, 0.0]))  # mu = (k1, 0) = (1, 0)
-        w0, a0 = nominal_control(st, tgt, self.GAIN, VEH)
+        w0, a0 = nominal_control(st, tgt, self.GAIN, VEH, self.V_EPS)
         assert w0 == 0.0
         assert a0 == pytest.approx(1.0, abs=1e-12)
 
@@ -134,7 +135,7 @@ class TestNominalControl:
         st = VehicleState(0.0, 0.0, 0.0, 0.0, 2.0)
         tgt = NominalTarget(np.array([0.5, 0.3, 2.0, 0.0]))  # errors: (-0.5, -0.3)
         gain = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
-        w0, a0 = nominal_control(st, tgt, gain, VEH)
+        w0, a0 = nominal_control(st, tgt, gain, VEH, self.V_EPS)
         assert (w0, a0) == pytest.approx((0.15, 0.5), abs=1e-12)
 
 
@@ -319,14 +320,14 @@ class TestDecentralizedStep:
                 inputs.append(res.inputs[0])
                 rows.append(constraint_row(
                     "ff", planar[i], planar[1 - i], res.inputs[0].omega, 0.0,
-                    cfg.alpha_gain, cfg.rff,
+                    cfg.alpha_gain, cfg.rff, cfg.hocbf_gain, cfg.zero_margin,
                 ))
             # each ego row holds, so their sum does too
             for i in range(2):
                 assert rows[i].phi - cfg.decentral_eps + rows[i].gamma_i * inputs[i].a >= -1e-6
             full = constraint_row(
                 "ff", planar[0], planar[1], inputs[0].omega, inputs[1].omega,
-                cfg.alpha_gain, cfg.rff,
+                cfg.alpha_gain, cfg.rff, cfg.hocbf_gain, cfg.zero_margin,
             )
             hdot = (full.phi - cfg.alpha_gain * full.value
                     + full.gamma_i * inputs[0].a + full.gamma_j * inputs[1].a)

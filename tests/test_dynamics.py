@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ffcbf.barriers import FfParams, _vehicle_planar, h0, h_ff, tau_hat, tau_star_hat
-from ffcbf.controllers import NominalTarget, lqr_gain, nominal_control
+from ffcbf.controllers import ControllerConfig, NominalTarget, lqr_gain, nominal_control
 from ffcbf.dynamics import ControlInput, VehicleParams, VehicleState, planar_velocity, step
 
 PARAMS = VehicleParams()
@@ -180,12 +180,12 @@ class TestPlanarKinematics:
         # through S^{-1}[mu_x + yd*psid, mu_y - xd*psid]; driving the bicycle
         # with that (omega0, a0) must reproduce exactly mu
         rng = np.random.default_rng(11)
-        gain = lqr_gain(16.0, 8.0, 1.0)
+        gain, v_eps = lqr_gain(16.0, 8.0, 1.0), ControllerConfig().v_eps
         for _ in range(200):
             st = VehicleState(*rng.uniform(-5, 5, 2), rng.uniform(-3, 3),
                               rng.uniform(-0.9, 0.9), rng.uniform(0.2, 10))
             target = NominalTarget(rng.uniform(-5, 5, 4))
-            w0, a0 = nominal_control(st, target, gain, PARAMS)
+            w0, a0 = nominal_control(st, target, gain, PARAMS, v_eps)
             zeta = np.array([st.x, st.y, *planar_velocity(st)])
             mu = -np.asarray(gain) @ (zeta - np.asarray(target.q_star))
             accel = planar_accel(st, ControlInput(w0, a0))

@@ -17,6 +17,33 @@ from ffcbf.qp import QpProblem, QpSolution, solve
 from ffcbf.scenario import default_config, run_trial
 
 
+def sparse_rows(rows):
+    """QpProblem rows of dense (coeffs, lower_bound) test data, as floats.
+
+    Even rows list every index; odd rows list only the entries that are not
+    +0.0 (a -0.0 stays listed, as it sets a sign bit), so the tests that
+    compare bits also check that listed and omitted zeros normalize alike.
+    """
+    sparse = []
+    for r, (coeffs, lb) in enumerate(rows):
+        pairs = [(i, float(c)) for i, c in enumerate(coeffs)]
+        if r % 2:
+            pairs = [(i, c) for i, c in pairs if c != 0.0 or math.copysign(1.0, c) < 0.0]
+        sparse.append((tuple(pairs), float(lb)))
+    return sparse
+
+
+def dense_rows(rows, dim):
+    """The (coeffs, lower_bound) form of QpProblem rows, with zeros filled in."""
+    dense = []
+    for pairs, lb in rows:
+        coeffs = [0.0] * dim
+        for i, c in pairs:
+            coeffs[i] = c
+        dense.append((coeffs, lb))
+    return dense
+
+
 def oracle(problem, feas_tol=1e-9, dual_tol=1e-9):
     """Brute-force reference: enumerate active sets of the raw rows.
 
@@ -28,7 +55,8 @@ def oracle(problem, feas_tol=1e-9, dual_tol=1e-9):
     misses its active rows by ~1e-9, enough to misplace an optimum or to
     call a feasible problem infeasible.
     """
-    rows = [(np.asarray(c, dtype=float), float(lb)) for c, lb in problem.rows]
+    rows = [(np.asarray(c, dtype=float), float(lb))
+            for c, lb in dense_rows(problem.rows, problem.dim)]
     if problem.box is not None:
         lo, hi = problem.box
         for i in range(problem.dim):
@@ -82,7 +110,7 @@ def random_problem(rng, dim=None, max_rows=12, with_box=True):
         lo = rng.uniform(-6, 0, dim)
         hi = rng.uniform(0, 6, dim)
         box = (lo, hi)
-    return QpProblem(dim=int(dim), target=u0, rows=tuple(rows), box=box)
+    return QpProblem(dim=int(dim), target=u0, rows=sparse_rows(rows), box=box)
 
 
 class TestExamples:
@@ -93,13 +121,13 @@ class TestExamples:
         assert sol.active_set == ()
 
     def test_halfline_projection(self):
-        sol = solve(QpProblem(dim=1, target=[0.0], rows=(([1.0], 2.0),)))
+        sol = solve(QpProblem(dim=1, target=[0.0], rows=((((0, 1.0),), 2.0),)))
         assert sol.status == "optimal"
         assert sol.u[0] == pytest.approx(2.0, abs=1e-10)
 
     def test_contradictory_rows(self):
         prob = QpProblem(dim=2, target=[3.0, 0.0],
-                         rows=(([1.0, 0.0], 5.0), ([-1.0, 0.0], -4.0)))
+                         rows=((((0, 1.0),), 5.0), (((0, -1.0),), -4.0)))
         sol = solve(prob)
         assert sol.status == "infeasible"
         assert sol.u is None
@@ -109,7 +137,7 @@ class TestExamples:
         with pytest.raises(ValueError):
             QpProblem(dim=1, target=[float("nan")])
         with pytest.raises(ValueError):
-            QpProblem(dim=1, target=[0.0], rows=(([float("inf")], 0.0),))
+            QpProblem(dim=1, target=[0.0], rows=((((0, float("inf")),), 0.0),))
         for target in ([0.0], [0.0, 0.0, 0.0], 0.0,              # wrong length, scalar
                        [[0.0], [0.0]], np.zeros((2, 1)),          # nested
                        ["a", 0.0], [None, 0.0]):                  # non-numeric
@@ -117,13 +145,28 @@ class TestExamples:
                 QpProblem(dim=2, target=target)
 
     def test_float_tuples_in_and_out(self):
-        prob = QpProblem(dim=2, target=np.array([3.0, -1.0]), rows=(([1.0, 0.0], 4.0),),
+        prob = QpProblem(dim=2, target=np.array([3.0, -1.0]), rows=((((0, 1.0),), 4.0),),
                          box=(np.array([-5.0, -5.0]), [5, 5]))
         assert prob.target == (3.0, -1.0) and prob.box == ((-5.0, -5.0), (5.0, 5.0))
         sol = solve(prob)
         assert sol.u == (4.0, -1.0)
         for values in (prob.target, *prob.box, sol.u):
             assert type(values) is tuple and all(type(x) is float for x in values)
+        assert type(prob.rows) is tuple
+
+    @pytest.mark.parametrize("dim, rows", [
+        (2, [([1.0, 2.0], 0.5)]),                     # list coefficients
+        (2, [((0.0, 1.0), 0.5)]),                     # tuple of floats
+        (2, [((0, 1), 0.5)]),                         # integer coefficients, valid as indices
+        (2, [(np.array([0.0, 1.0]), 0.5)]),           # array
+        (1, [([1.0], 2.0)]),                          # one variable
+        (3, [(((0, 1.0),), 0.5), ([0.0, 1.0, 2.0], 0.5)]),  # after a sparse row
+    ])
+    def test_dense_row_raises(self, dim, rows):
+        # the dense (coeffs, lower_bound) form is no longer read: it raises
+        # instead of being taken for (index, coeff) pairs
+        with pytest.raises(ValueError, match="malformed rows"):
+            QpProblem(dim=dim, target=[0.0] * dim, rows=rows)
 
 
 class TestOracleAgreement:
@@ -165,7 +208,7 @@ class TestSolutionQuality:
             if sol.status != "optimal":
                 continue
             u = np.asarray(sol.u)
-            for c, lb in prob.rows:
+            for c, lb in dense_rows(prob.rows, prob.dim):
                 assert np.dot(c, u) >= lb - 1e-6 * (1 + abs(lb))
             if prob.box is not None:
                 assert np.all(u >= np.asarray(prob.box[0]) - 1e-8)
@@ -185,11 +228,11 @@ class TestSolutionQuality:
     def test_scale_robustness(self):
         prob = QpProblem(
             dim=2, target=[2.0, 1.0],
-            rows=(([1.0, 1.0], 4.0), ([-1.0, 2.0], -3.0)),
+            rows=sparse_rows([([1.0, 1.0], 4.0), ([-1.0, 2.0], -3.0)]),
         )
         scaled = QpProblem(
             dim=2, target=[2.0, 1.0],
-            rows=(([1e3, 1e3], 4e3), ([-1e3, 2e3], -3e3)),
+            rows=sparse_rows([([1e3, 1e3], 4e3), ([-1e3, 2e3], -3e3)]),
         )
         assert np.allclose(solve(prob).u, solve(scaled).u, atol=1e-6)
 
@@ -204,7 +247,7 @@ class TestSolutionQuality:
                 assert np.allclose(warm.u, cold.u, atol=1e-9)
 
     def test_warm_start_garbage_indices_ignored(self):
-        prob = QpProblem(dim=1, target=[0.0], rows=(([1.0], 2.0),))
+        prob = QpProblem(dim=1, target=[0.0], rows=((((0, 1.0),), 2.0),))
         sol = solve(prob, warm_start=(99, -3))
         assert sol.status == "optimal" and sol.u[0] == pytest.approx(2.0)
 
@@ -262,7 +305,7 @@ def qp_cases(draw):
         box = (draw(st.lists(_values(-6, 0), min_size=dim, max_size=dim)),
                draw(st.lists(_values(0, 6), min_size=dim, max_size=dim)))
     target = draw(st.lists(_values(-8, 8), min_size=dim, max_size=dim))
-    prob = QpProblem(dim=dim, target=target, rows=rows, box=box)
+    prob = QpProblem(dim=dim, target=target, rows=sparse_rows(rows), box=box)
     warm = draw(st.none() | st.lists(st.integers(-3, len(prob._tol) + 3), max_size=6))
     return prob, warm
 
@@ -300,7 +343,8 @@ class TestFloatKernelProperty:
 
     def test_same_row_twice(self):
         # the second copy lies in the span of the first and never enters
-        prob = QpProblem(dim=2, target=[0.0, 0.0], rows=(([1.0, 1.0], 2.0), ([1.0, 1.0], 2.0)))
+        prob = QpProblem(dim=2, target=[0.0, 0.0],
+                         rows=sparse_rows([([1.0, 1.0], 2.0), ([1.0, 1.0], 2.0)]))
         sol = solve(prob)
         assert sol.status == "optimal"
         assert list(sol.u) == pytest.approx([1.0, 1.0], abs=1e-12)
@@ -308,14 +352,14 @@ class TestFloatKernelProperty:
 
     def test_dependent_warm_start(self):
         # a warm start naming both bounds of one variable keeps the first
-        prob = QpProblem(dim=1, target=[-1.0], rows=(([2.0], -1.0),), box=([-1.0], [0.0]))
+        prob = QpProblem(dim=1, target=[-1.0], rows=((((0, 2.0),), -1.0),), box=([-1.0], [0.0]))
         sol = solve(prob, warm_start=(1, 2))
         assert sol.status == "optimal" and sol.u[0] == pytest.approx(-0.5, abs=1e-9)
 
     def test_degenerate_vertex(self):
         # an equality pair and a nearly parallel row through the same point
-        prob = QpProblem(dim=2, target=[0.0, 1.0], rows=(
-            ([1.0, 2.0], 1.0), ([1.0, 1.9987700918464433], 1.0), ([-1.0, -2.0], -1.0)))
+        prob = QpProblem(dim=2, target=[0.0, 1.0], rows=sparse_rows([
+            ([1.0, 2.0], 1.0), ([1.0, 1.9987700918464433], 1.0), ([-1.0, -2.0], -1.0)]))
         sol = solve(prob)
         assert sol.status == "optimal" and list(sol.u) == pytest.approx([1.0, 0.0], abs=1e-9)
 
@@ -323,9 +367,9 @@ class TestFloatKernelProperty:
         # an equality pair and a nearly parallel row (the optimum is their
         # vertex): without its refinement step the oracle misses it by 1.8e-10
         c = [1.4922768789834064, 1.1741008793857404]
-        prob = QpProblem(dim=2, target=[-7.398307314827758, -6.9033889126885875], rows=(
+        prob = QpProblem(dim=2, target=[-7.398307314827758, -6.9033889126885875], rows=sparse_rows([
             (c, 0.5), ([-x for x in c], -0.5),
-            ([1.48274073205856, 1.1707091443551005], 0.5052569693551436)))
+            ([1.48274073205856, 1.1707091443551005], 0.5052569693551436)]))
         sol = solve(prob)
         assert sol.status == "optimal" and sol.kkt_residual <= 1e-12
         assert np.abs(oracle(prob) - np.asarray(sol.u)).max() <= 1e-12
@@ -334,7 +378,7 @@ class TestFloatKernelProperty:
         # multipliers near 3e4 magnify any miss of the active rows in the KKT
         # residual's complementarity term
         prob = QpProblem(dim=2, target=[0.0, 0.0],
-                         rows=(([1.0, 0.24609375], 0.0), ([-2.25, -0.5625], 1.0)))
+                         rows=sparse_rows([([1.0, 0.24609375], 0.0), ([-2.25, -0.5625], 1.0)]))
         sol = solve(prob)
         assert sol.status == "optimal" and sol.active_set == (0, 1)
         assert list(sol.u) == pytest.approx([28.0, -1024.0 / 9.0], rel=1e-12)
@@ -345,12 +389,12 @@ class TestVerifyKkt:
     """The KKT residual solve() reports, and the check behind it."""
 
     def test_optimal_residual_small(self):
-        prob = QpProblem(dim=2, target=[3.0, 0.0], rows=(([1.0, 0.0], 4.0),))
+        prob = QpProblem(dim=2, target=[3.0, 0.0], rows=((((0, 1.0),), 4.0),))
         sol = solve(prob)
         assert sol.active_set == (0,) and sol.kkt_residual <= 1e-12
 
     def test_perturbed_residual_large(self):
-        prob = QpProblem(dim=2, target=[3.0, 0.0], rows=(([1.0, 0.0], 4.0),))
+        prob = QpProblem(dim=2, target=[3.0, 0.0], rows=((((0, 1.0),), 4.0),))
         sol = solve(prob)
         # move along the constraint surface (feasible direction): stationarity breaks
         u = (np.asarray(sol.u) + np.array([0.0, 1e-2])).tolist()
@@ -414,9 +458,9 @@ class TestDiagnosticsOnRead:
 
         monkeypatch.setattr(qp, "linprog", no_lp)
         infeasible = QpProblem(dim=2, target=[3.0, 0.0],
-                               rows=(([1.0, 0.0], 5.0), ([-1.0, 0.0], -4.0)))
+                               rows=((((0, 1.0),), 5.0), (((0, -1.0),), -4.0)))
         iterated = QpProblem(dim=2, target=[0.0, 0.0],
-                             rows=(([1.0, 1.0], 2.0), ([1.0, -1.0], 1.0)))
+                             rows=sparse_rows([([1.0, 1.0], 2.0), ([1.0, -1.0], 1.0)]))
         for prob in (infeasible, iterated):
             sol, again = solve(prob), solve(prob)
             assert sol == again and repr(sol) == repr(again)
@@ -462,34 +506,44 @@ def assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-class TestConstructorBits:
-    """The float-list constructor reproduces the row-by-row one byte for byte.
+def assert_reference_bytes(prob, rows, box, target):
+    """prob's internal form equals per_row_reference's of the dense rows (and
+    of box and target, the inputs), byte for byte.
 
     Internal form: normalized user rows (_G, _b) as lists of floats, the
     target and the box bounds as float tuples, one tolerance per internal row
     (_tol), the indices of degenerate rows, and _stacked(), the [G; I; -I]
     system of the phase-1 LP.
     """
+    dim, n = prob.dim, len(rows)
+    G, b, degenerate = per_row_reference(dim, rows, box)
+    assert all(type(x) is float for x in itertools.chain(prob._b, *prob._G, prob.target))
+    assert_same_bytes(np.array(prob._G, dtype=float).reshape(n, dim), G[:n])
+    assert_same_bytes(np.array(prob._b, dtype=float), b[:n])
+    assert prob._degenerate == tuple(np.flatnonzero(degenerate).tolist())
+    if box is None:
+        assert prob.box is None
+    else:
+        assert all(type(x) is float for x in itertools.chain(*prob.box))
+        assert_same_bytes(np.array(prob.box[0]), b[n:n + dim])
+        assert_same_bytes(-np.array(prob.box[1]), b[n + dim:])
+    assert_same_bytes(np.array(prob._tol), qp.FEAS_TOL * (1.0 + np.abs(b)))
+    for got, want in zip(prob._stacked(), (G, b)):
+        assert_same_bytes(got, want)
+    assert_same_bytes(np.array(prob.target), np.asarray(target, dtype=float))
+
+
+class TestConstructorBits:
+    """The float-list constructor reproduces the row-by-row one byte for byte.
+
+    Rows go in through sparse_rows, so every check also covers listed and
+    omitted zeros.
+    """
 
     def check(self, dim, rows, box, target=None):
         target = np.zeros(dim) if target is None else target
-        prob = QpProblem(dim=dim, target=target, rows=rows, box=box)
-        G, b, degenerate = per_row_reference(dim, rows, box)
-        n = len(rows)
-        assert all(type(x) is float for x in itertools.chain(prob._b, *prob._G, prob.target))
-        assert_same_bytes(np.array(prob._G, dtype=float).reshape(n, dim), G[:n])
-        assert_same_bytes(np.array(prob._b, dtype=float), b[:n])
-        assert prob._degenerate == tuple(np.flatnonzero(degenerate).tolist())
-        if box is None:
-            assert prob.box is None
-        else:
-            assert all(type(x) is float for x in itertools.chain(*prob.box))
-            assert_same_bytes(np.array(prob.box[0]), b[n:n + dim])
-            assert_same_bytes(-np.array(prob.box[1]), b[n + dim:])
-        assert_same_bytes(np.array(prob._tol), qp.FEAS_TOL * (1.0 + np.abs(b)))
-        for got, want in zip(prob._stacked(), (G, b)):
-            assert_same_bytes(got, want)
-        assert_same_bytes(np.array(prob.target), np.asarray(target, dtype=float))
+        prob = QpProblem(dim=dim, target=target, rows=sparse_rows(rows), box=box)
+        assert_reference_bytes(prob, rows, box, target)
         return prob
 
     # 40 and 130 pass the unrolled-kernel limit and numpy's pairwise block
@@ -508,7 +562,9 @@ class TestConstructorBits:
                     c *= 1e-15                       # degenerate, below the norm floor
                 elif kind < 0.45:
                     c[rng.random(dim) < 0.5] = 0.0   # sparse, like the pair rows
-                rows.append((c.tolist() if rng.random() < 0.5 else c, rng.normal(0, 3)))
+                elif kind < 0.55:
+                    c[rng.random(dim) < 0.5] = -0.0  # signed zeros
+                rows.append((c, rng.normal(0, 3)))
             box = None
             if rng.random() < 0.7:
                 lo = rng.uniform(-9, 0, dim)
@@ -541,13 +597,13 @@ class TestConstructorErrors:
     @pytest.mark.parametrize("kwargs", [
         dict(dim=0, target=[]),
         dict(dim=2, target=[0.0]),
-        dict(dim=2, target=[0.0, 0.0], rows=(([1.0, 2.0], 0.0), ([1.0], 0.0))),   # ragged
-        dict(dim=2, target=[0.0, 0.0], rows=(([1.0, 2.0, 3.0], 0.0),)),          # too long
-        dict(dim=1, target=[0.0], rows=((1.0, 0.0),)),                            # scalar row
-        dict(dim=2, target=[0.0, 0.0], rows=(([1.0, float("inf")], 0.0),)),
-        dict(dim=2, target=[0.0, 0.0], rows=(([1.0, 1.0], float("nan")),)),
+        dict(dim=2, target=[0.0, 0.0], rows=1.0),                                  # rows not a sequence
+        dict(dim=2, target=[0.0, 0.0], rows=((((0, 1.0),),),)),                    # no lower bound
+        dict(dim=2, target=[0.0, 0.0], rows=((((0, 1.0),), 0.0, 1.0),)),          # an extra item
+        dict(dim=2, target=[0.0, 0.0], rows=((((0, 1.0), (1, float("inf"))), 0.0),)),
+        dict(dim=2, target=[0.0, 0.0], rows=((((0, 1.0), (1, 1.0)), float("nan")),)),
         dict(dim=1, target=[float("nan")]),
-        dict(dim=1, target=[float("inf")], rows=(([1.0], 0.0),)),
+        dict(dim=1, target=[float("inf")], rows=((((0, 1.0),), 0.0),)),
         dict(dim=1, target=[0.0], box=([float("-inf")], [1.0])),
         dict(dim=1, target=[0.0], box=([0.0], [float("nan")])),
         dict(dim=2, target=[0.0, 0.0], box=([0.0], [1.0, 1.0])),                  # box shape
@@ -556,26 +612,6 @@ class TestConstructorErrors:
     def test_raises_value_error(self, kwargs):
         with pytest.raises(ValueError):
             QpProblem(**kwargs)
-
-
-def dense_rows(rows, dim):
-    """The (coeffs, lower_bound) form of SparseRows."""
-    dense = []
-    for pairs, lb in rows:
-        coeffs = [0.0] * dim
-        for i, c in pairs:
-            coeffs[i] = c
-        dense.append((coeffs, lb))
-    return dense
-
-
-def internal_bytes(prob):
-    """Every internal field of a problem, as bytes."""
-    def raw(x):
-        return np.asarray(x, dtype=float).tobytes()
-
-    return (raw(prob._G), raw(prob._b), raw(prob._tol), prob._degenerate,
-            raw(prob.box[0]), raw(prob.box[1]), raw(prob.target))
 
 
 @pytest.fixture(scope="module")
@@ -599,18 +635,16 @@ def captured_problems():
 
 
 class TestSparseRows:
-    """SparseRows, the form the controllers build, against the dense form."""
+    """Rows as their nonzero (index, coeff) pairs, the one row form, against
+    the numpy reference of their dense form."""
 
     def test_captured_ticks_match_the_dense_form(self, captured_problems):
         # ff and rff pairs with equal velocities give all-zero (degenerate) rows
         assert sum(1 for p in captured_problems if p._degenerate) > 1000
         assert {p.dim for p in captured_problems} == {1, 4}
         for prob in captured_problems:
-            assert type(prob.rows) is qp.SparseRows
-            dense = QpProblem(dim=prob.dim, target=list(prob.target),
-                              rows=dense_rows(prob.rows, prob.dim),
-                              box=(list(prob.box[0]), list(prob.box[1])))
-            assert internal_bytes(prob) == internal_bytes(dense)
+            assert type(prob.rows) is tuple
+            assert_reference_bytes(prob, dense_rows(prob.rows, prob.dim), prob.box, prob.target)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 7])
     def test_random_rows_match_the_dense_form(self, dim):
@@ -625,9 +659,8 @@ class TestSparseRows:
             lo = rng.uniform(-9, 0, dim)
             box = (tuple(lo.tolist()), tuple((lo + rng.uniform(0, 9, dim)).tolist()))
             target = rng.normal(0, 3, dim).tolist()
-            sparse = QpProblem(dim=dim, target=target, rows=qp.SparseRows(rows), box=box)
-            dense = QpProblem(dim=dim, target=target, rows=dense_rows(rows, dim), box=box)
-            assert internal_bytes(sparse) == internal_bytes(dense)
+            prob = QpProblem(dim=dim, target=target, rows=rows, box=box)
+            assert_reference_bytes(prob, dense_rows(rows, dim), box, target)
 
     @pytest.mark.parametrize("rows", [
         [(((2, 1.0),), 0.0)],                   # index past dim
@@ -642,11 +675,11 @@ class TestSparseRows:
     ])
     def test_malformed_rows_raise(self, rows):
         with pytest.raises(ValueError):
-            QpProblem(dim=2, target=[0.0, 0.0], rows=qp.SparseRows(rows))
+            QpProblem(dim=2, target=[0.0, 0.0], rows=rows)
 
     def test_box_terms_are_shared_and_read_only(self):
         box = ((-2.0, -1.0), (3.0, 4.0))
-        a = QpProblem(dim=2, target=[0.0, 0.0], rows=qp.SparseRows(), box=box)
+        a = QpProblem(dim=2, target=[0.0, 0.0], box=box)
         b = QpProblem(dim=2, target=[1.0, 1.0], box=([-2.0, -1.0], np.array([3.0, 4.0])))
         assert a.box is b.box and a._tol == b._tol
         with pytest.raises(TypeError):
@@ -681,7 +714,7 @@ class TestLazyScipy:
     def test_phase1_leaves_scipy_unloaded(self):
         code = ("from ffcbf.qp import QpProblem, solve; "
                 "sol = solve(QpProblem(dim=2, target=[3.0, 0.0], "
-                "rows=(([1.0, 0.0], 5.0), ([-1.0, 0.0], -4.0)))); "
+                "rows=((((0, 1.0),), 5.0), (((0, -1.0),), -4.0)))); "
                 f"print(sol.status, sol.phase1_slack, {_SCIPY_MODULES})")
         status, slack, modules = _fresh_interpreter(code).split(maxsplit=2)
         assert status == "infeasible" and float(slack) == pytest.approx(0.5)
@@ -709,7 +742,7 @@ class TestLazyScipy:
 
         monkeypatch.setattr(qp, "linprog", counting)
         prob = QpProblem(dim=2, target=[3.0, 0.0],
-                         rows=(([1.0, 0.0], 5.0), ([-1.0, 0.0], -4.0)))
+                         rows=((((0, 1.0),), 5.0), (((0, -1.0),), -4.0)))
         sol = solve(prob)
         assert sol.status == "infeasible" and not calls
         assert sol.phase1_slack == pytest.approx(0.5) and calls == [1]
@@ -735,7 +768,7 @@ def highs_min_slack(G, b):
 def lp_rows(dim, rows, box=None):
     """The normalized (G, b) that solve() hands to the phase-1 LP, and the
     row tolerances."""
-    prob = QpProblem(dim=dim, target=np.zeros(dim), rows=rows, box=box)
+    prob = QpProblem(dim=dim, target=np.zeros(dim), rows=sparse_rows(rows), box=box)
     return (*prob._stacked(), np.array(prob._tol))
 
 
@@ -852,7 +885,7 @@ class TestPhase1Lp:
 
     def test_pivot_cap_raises(self, monkeypatch):
         prob = QpProblem(dim=2, target=[3.0, 0.0],
-                         rows=(([1.0, 0.0], 5.0), ([-1.0, 0.0], -4.0)))
+                         rows=((((0, 1.0),), 5.0), (((0, -1.0),), -4.0)))
         monkeypatch.setattr(qp, "LP_MAX_PIVOTS", 0)
         with pytest.raises(RuntimeError, match="phase-1 LP failed"):
             qp.linprog(*prob._stacked())

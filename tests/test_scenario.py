@@ -481,3 +481,39 @@ class TestConfigValidation:
     def test_slip_shaping_in_range(self, kw, message):
         with pytest.raises(ValueError, match=message):
             ScenarioConfig(controller=ControllerConfig(**kw))
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(exit_lateral_tol=0.0), "exit_lateral_tol"),
+        (dict(exit_lateral_tol=-0.1), "exit_lateral_tol"),
+        (dict(stop_speed=0.0), "stop_speed"),
+        (dict(stop_speed=-0.01), "stop_speed"),
+        (dict(deadlock_window=0.0), "deadlock_window"),
+        (dict(deadlock_window=-1.0), "deadlock_window"),
+        (dict(exit_lateral_tol=float("nan")), "exit_lateral_tol"),
+        (dict(max_resamples=-1), "max_resamples"),
+    ])
+    def test_trial_bookkeeping_in_range(self, kw, message):
+        with pytest.raises(ScenarioError, match=message):
+            default_config(**kw)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(speed_alpha=0.0), "speed_alpha"),
+        (dict(speed_alpha=-30.0), "speed_alpha"),
+        (dict(hocbf_gain=0.0), "hocbf_gain"),
+        (dict(hocbf_gain=-2.1), "hocbf_gain"),
+        (dict(v_eps=0.0), "v_eps"),
+        (dict(v_eps=-1e-3), "v_eps"),
+        (dict(zero_margin=-0.05), "zero_margin"),
+        (dict(decentral_eps=-1e-9), "decentral_eps"),
+        (dict(zero_margin=float("nan")), "zero_margin"),
+    ])
+    def test_filter_gains_in_range(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            ControllerConfig(**kw)
+
+    def test_boundary_values_accepted(self):
+        # zero is a valid pad and epsilon; the smallest positive values pass
+        cfg = default_config(max_resamples=0, exit_lateral_tol=1e-9, stop_speed=1e-9,
+                             deadlock_window=1e-9)
+        assert cfg.max_resamples == 0
+        ControllerConfig(zero_margin=0.0, decentral_eps=0.0, v_eps=1e-12)
