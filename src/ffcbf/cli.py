@@ -117,16 +117,7 @@ def _write_text(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def summary_to_dict(summary: BatchSummary, cbf_kind: str) -> dict:
-    return {
-        "cbf": cbf_kind,
-        "n_trials": summary.n_trials,
-        "success_rate": summary.success_rate,
-        "feas_rate": summary.feas_rate,
-        "deadlock_rate": summary.deadlock_rate,
-        "unsafe_rate": summary.unsafe_rate,
-        "avg_time": summary.avg_time,
-        "n_timeout": summary.n_timeout,
-    }
+    return {"cbf": cbf_kind, **asdict(summary)}
 
 
 def write_summary(path: str, summary: BatchSummary, cbf_kind: str) -> None:

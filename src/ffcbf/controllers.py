@@ -171,7 +171,6 @@ class StepResult:
     inputs: tuple
     feasible: bool
     active_set: tuple = ()
-    qp_iterations: int = 0
 
 
 def _nominals(states, targets, config):
@@ -244,12 +243,12 @@ def centralized_step(states, targets, config: ControllerConfig, warm_start=None)
     sol = qp.solve(problem, warm_start)
     if sol.status == "optimal":
         inputs = tuple(map(ControlInput, omegas, sol.u))
-        return StepResult(inputs, True, sol.active_set, sol.iterations)
+        return StepResult(inputs, True, sol.active_set)
     # Infeasible program: brake to a stop, slip rates per the saturated nominal.
     inputs = tuple(
         ControlInput(w, _max_braking(st, config)) for w, st in zip(omegas, states)
     )
-    return StepResult(inputs, False, (), sol.iterations)
+    return StepResult(inputs, False, ())
 
 
 def build_decentralized_qp(ego_index, states, target_ego, config: ControllerConfig):
@@ -284,10 +283,6 @@ def decentralized_step(
     problem, w_star, _ = build_decentralized_qp(ego_index, states, target_ego, config)
     sol = qp.solve(problem, warm_start)
     if sol.status == "optimal":
-        return StepResult(
-            (ControlInput(w_star, sol.u[0]),), True, sol.active_set, sol.iterations
-        )
-    return StepResult(
-        (ControlInput(w_star, _max_braking(states[ego_index], config)),),
-        False, (), sol.iterations,
-    )
+        return StepResult((ControlInput(w_star, sol.u[0]),), True, sol.active_set)
+    inputs = (ControlInput(w_star, _max_braking(states[ego_index], config)),)
+    return StepResult(inputs, False, ())

@@ -15,37 +15,42 @@ z orthogonal to A.  x moves along z and the active multipliers by -r per
 unit of lambda_p; p enters A when it meets its bound, unless an active
 multiplier reaches 0 first: that row leaves and the step repeats.  If g_p
 is in the span of A (z = 0) only the multipliers move, and if no r_j is then
-positive, r is a Farkas certificate of infeasibility.  The dual objective
-never decreases and no active set recurs, so degenerate vertices cannot
-make it cycle.  The answer is the projection onto the final A, recomputed.
+positive, r is a Farkas certificate of infeasibility: every u meeting the
+active rows with r_j < 0 has g_p . u <= g_p . x < b_p.  Those rows and p
+are the infeasible verdict's active_set, so a caller learns which rows
+conflict at no extra cost.  The span test counts |z| up to 1e-6 as 0, so
+the bound holds up to z . (u - x): strictly, the rows admit no point within
+(b_p - g_p . x) / |z| of x, a radius the controllers' boxes lie far inside.
+The dual objective never decreases and no active set recurs, so degenerate
+vertices cannot make it cycle.  The answer is the projection onto the final
+A, recomputed.
 
 The first iterate is the box-clipped target with its clipped bounds active
 (multipliers: the clip distances); when it meets every row it is the
 answer, the common control tick.  A warm start replaces it with the
 projection onto the warm rows, skipping rows in the span of those kept and
 dropping the most negative multiplier until none is negative: a poor warm
-start costs steps, never correctness.  No control law reads the diagnostics
-of a solution, so solve() computes neither on the tick: the KKT residual of
-an iterated answer and the minimum-slack LP (linprog, a dense simplex) of an
-infeasible verdict run on their first read.
+start costs steps, never correctness.  No control law reads the KKT
+residual of an iterated answer, so solve() leaves it to the first read.
 
 Problems here are tiny (a handful of variables, tens of rows) and one is
 built and solved on every control tick, where the fixed cost of a numpy call
-exceeds the arithmetic it does.  So the problem and the kernel are plain
-Python floats: the target is a float tuple, the box a pair of float tuples
-and the answer a float tuple.  QpProblem takes each row as its nonzero
-(index, coeff) pairs and a lower bound, the form the controllers build on
-every tick: a barrier row couples at most two vehicles.  One routine
-validates the rows and normalizes them into float lists, with each squared
-norm summed from 0.0 left to right; a coefficient left out is +0.0, so a
-row gives the same bits whether its +0.0 entries are listed or not.  Box
-bounds stay bounds, read coordinate by coordinate (a box row that enters A
-is expanded to +-e_i there); a box's bound tuples and tolerances are
-computed once and kept in a small cache, as the controllers pass the same
-box every tick.  Dot products accumulate left to right from 0.0, and
-G_A^T = Q R is kept factored by modified Gram-Schmidt, extended as a row
-enters and redone from a row that leaves.  numpy only runs the LP, so
-the same bits come out on any machine, whatever BLAS numpy uses.
+exceeds the arithmetic it does.  So the module imports no numpy: the problem
+and the kernel are plain Python numbers.  The target is a float tuple and
+the box a pair of float tuples; row numbers are read as given, so the answer
+is a tuple of Python floats when the rows hold Python floats, as the
+controllers' do.  QpProblem takes each row as its nonzero (index, coeff)
+pairs and a lower bound, the form the controllers build on every tick: a
+barrier row couples at most two vehicles.  One routine validates the rows
+and normalizes them into lists, with each squared norm summed from 0.0 left
+to right; a coefficient left out is +0.0, so a row gives the same bits
+whether its +0.0 entries are listed or not.  Box bounds stay bounds, read
+coordinate by coordinate (a box row that enters A is expanded to +-e_i
+there); a box's bound tuples and tolerances are computed once and kept in a
+small cache, as the controllers pass the same box every tick.  Dot products
+accumulate left to right from 0.0, and G_A^T = Q R is kept factored by
+modified Gram-Schmidt, extended as a row enters and redone from a row that
+leaves, so the same bits come out on any machine.
 """
 
 from __future__ import annotations
@@ -57,86 +62,20 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, le, mul, sub
 
-import numpy as np
-
 __all__ = ["QpProblem", "QpSolution", "solve"]
 
 FEAS_TOL = 1e-8        # row feasibility, absolute + relative in the bound
 DUAL_TOL = 1e-9        # multipliers may be this negative at the optimum
-PHASE1_TOL = 1e-7      # an infeasible verdict's LP slack lies above this
 MAX_ITER = 200
-LP_MAX_PIVOTS = 500    # phase-1 simplex pivots before RuntimeError
 _DEP_TOL = 1e-12       # squared norm of a unit row's part outside the active span
 _REFINE_TOL = 1e-10    # |lambda_r * miss_r| of an active row that calls for refinement
 _NORM_EPS = 1e-13
-_LP_COST_TOL = 1e-11   # reduced costs above -this are optimal
-_LP_PIVOT_TOL = 1e-11  # smallest pivot element
-_LP_TIE_RTOL = 1e-12   # relative tolerance of ratio-test ties
 _UNROLL_MAX = 32       # longest vector given straight-line kernels
 
 
-def linprog(G: np.ndarray, b: np.ndarray):
-    """Phase-1 minimum-slack LP: min s s.t. G u + s >= b, s >= 0.  Returns (u, s).
-
-    A dense tableau simplex in standard form over x = (u+, u-, s, e) >= 0 with
-    G u+ - G u- + s - e = b (u = u+ - u-, one surplus e per row).  The
-    starting basis, s in the most violated row and the surplus of every other
-    row, is feasible by construction, so no artificial phase is needed.
-    Entering and leaving variables follow Bland's lowest-index rule, which
-    cannot cycle on degenerate vertices.  The returned s is the largest row
-    violation at the returned u.
-    """
-    m, dim = G.shape
-    if m == 0 or b.max() <= 0.0:  # u = 0 satisfies every row
-        return np.zeros(dim), 0.0
-    s_col, n = 2 * dim, 2 * dim + 1 + m
-    # Rows negated so that the surpluses form a basis (infeasible where b > 0);
-    # one pivot then puts s in the most violated row and makes it feasible.
-    # The last row holds the reduced costs of min s, then minus its value.
-    T = np.zeros((m + 1, n + 1))
-    T[:m, :dim] = -G
-    T[:m, dim:s_col] = G
-    T[:m, s_col] = -1.0
-    T[:m, s_col + 1:n] = np.eye(m)
-    T[:m, n] = -b
-    T[m, s_col] = 1.0
-    basis = np.arange(s_col + 1, n)
-    _pivot(T, basis, int(b.argmax()), s_col)
-    _simplex(T, basis)
-    x = np.zeros(n)
-    x[basis] = T[:m, n]
-    u = x[:dim] - x[dim:s_col]
-    return u, max(0.0, float((b - G @ u).max()))
-
-
-def _simplex(T: np.ndarray, basis: np.ndarray) -> None:
-    """Pivot the tableau T (constraint rows, then the reduced-cost row; the
-    right-hand side last) from a feasible basis to an optimum, in place, by
-    Bland's rule.  Raises RuntimeError after LP_MAX_PIVOTS pivots."""
-    m, n = basis.size, T.shape[1] - 1
-    for pivots in range(LP_MAX_PIVOTS + 1):
-        entering = (T[m, :n] < -_LP_COST_TOL).nonzero()[0]
-        if entering.size == 0:
-            return
-        if pivots == LP_MAX_PIVOTS:
-            raise RuntimeError(f"phase-1 LP failed: no optimum after {pivots} pivots")
-        j = entering[0]
-        col = T[:m, j]
-        rows = (col > _LP_PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:  # min s is bounded below by 0: only roundoff gets here
-            raise RuntimeError("phase-1 LP failed: unbounded direction")
-        ratios = T[rows, n] / col[rows]
-        ties = rows[ratios <= ratios.min() * (1.0 + _LP_TIE_RTOL)]
-        _pivot(T, basis, ties[basis[ties].argmin()], j)
-
-
-def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
-    """Gauss-Jordan pivot on T[r, j]: variable j enters the basis in row r."""
-    pivot_row = T[r] / T[r, j]
-    T -= T[:, j, None] * pivot_row
-    T[r] = pivot_row
-    basis[r] = j
-    np.maximum(T[:-1, -1], 0.0, out=T[:-1, -1])  # clamp roundoff below zero
+# ffcbf_bench/tracing.py hooks this name, so traced runs keep working with
+# qp.phase1.* at 0; ROADMAP item 4 step 1 removes the line.
+linprog = None
 
 
 def _floats(c) -> tuple:
@@ -322,12 +261,6 @@ class QpProblem:
         lo, hi = self.box
         return lo[i] if i < self.dim else -hi[i - self.dim]
 
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """(G, b) of every internal row as arrays, for the phase-1 LP."""
-        m = len(self._tol)
-        G = np.array([self._vector(r) for r in range(m)], dtype=float).reshape(m, self.dim)
-        return G, np.array([self._bound(r) for r in range(m)], dtype=float)
-
 
 @dataclass(frozen=True)
 class QpSolution:
@@ -343,13 +276,16 @@ class QpSolution:
     problems abandoned at the iteration cap (reported infeasible, and logged
     distinctly from certified infeasibility).
 
-    kkt_residual and phase1_slack are diagnostics, computed on first read and
-    cached; repr and == leave them out and never compute them.  kkt_residual
-    is the max KKT violation at an optimum, nan otherwise.  phase1_slack is
-    set only on an infeasible verdict: the bound of a degenerate row when
-    that decided it, else the LP's minimum over u of the largest row
-    violation (qp.linprog runs on the read, and raises RuntimeError there at
-    its pivot cap); nan for optimal and iteration-limited solves.
+    On an infeasible verdict active_set names the rows that certify it, in
+    row order: the violated row p and the active rows with r_j < 0 of the
+    dual method's Farkas certificate g_p = sum_j r_j g_j (no point within
+    the radius the module docstring gives meets them all), or the first
+    degenerate row with the largest bound when that decided it.  An
+    iteration-limited solve certifies nothing and leaves it empty.
+
+    kkt_residual, the max KKT violation at an optimum (nan otherwise), is a
+    diagnostic computed on first read and cached; repr and == leave it out
+    and never compute it.
     """
 
     status: str                      # "optimal" | "infeasible"
@@ -357,17 +293,12 @@ class QpSolution:
     active_set: tuple = ()
     iterations: int = 0
     iteration_limited: bool = False
-    # Each diagnostic as a float, or the call that computes it on first read.
+    # The residual as a float, or the call that computes it on first read.
     _kkt: float | Callable[[], float] = field(default=math.nan, repr=False, compare=False)
-    _slack: float | Callable[[], float] = field(default=math.nan, repr=False, compare=False)
 
     @functools.cached_property
     def kkt_residual(self) -> float:
         return self._kkt() if callable(self._kkt) else self._kkt
-
-    @functools.cached_property
-    def phase1_slack(self) -> float:
-        return self._slack() if callable(self._slack) else self._slack
 
 
 def _residuals(problem: QpProblem, u: list) -> list:
@@ -486,9 +417,9 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
 
     # Rows with ~zero coefficients are vacuous or certify infeasibility outright.
     if problem._degenerate:
-        worst = max(b[r] for r in problem._degenerate)
-        if worst > FEAS_TOL:
-            return QpSolution(status="infeasible", u=None, _slack=worst)
+        worst = max(problem._degenerate, key=b.__getitem__)
+        if b[worst] > FEAS_TOL:
+            return QpSolution(status="infeasible", u=None, active_set=(worst,))
 
     # First iterate: the target clipped to the box, in one pass with the same
     # comparisons as np.clip; each clipped bound is active with the clip
@@ -575,9 +506,9 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
             if zz > _DEP_TOL and -s <= t * zz:  # p reaches its bound first
                 t, k = -s / zz, -1
             elif k < 0:  # g_p = G_A^T r with r <= 0: no point meets A and p
-                # linprog is looked up on the read: a replaced attribute runs
-                return QpSolution(status="infeasible", u=None, iterations=iterations,
-                                  _slack=lambda: linprog(*problem._stacked())[1])
+                certificate = sorted([p, *(a for a, rj in zip(active, r) if rj < 0.0)])
+                return QpSolution(status="infeasible", u=None, active_set=tuple(certificate),
+                                  iterations=iterations)
             lam = [lj - t * rj for lj, rj in zip(lam, r)]
             lam_p += t
             if zz > _DEP_TOL:

@@ -131,7 +131,16 @@ class TestExamples:
         sol = solve(prob)
         assert sol.status == "infeasible"
         assert sol.u is None
-        assert sol.phase1_slack > 1e-7
+        assert sol.active_set == (0, 1)  # u0 >= 5 and -u0 >= -4
+
+    def test_degenerate_row_is_the_certificate(self):
+        # rows 1-3 have ~zero coefficients; of the two with the largest
+        # bound, the first decides the verdict
+        prob = QpProblem(dim=2, target=[0.0, 0.0], rows=(
+            (((0, 1.0),), 1.0), (((0, 0.0),), 0.25), (((1, 1e-15),), 0.5), ((), 0.5)))
+        sol = solve(prob)
+        assert sol.status == "infeasible" and sol.u is None
+        assert sol.active_set == (2,) and sol.iterations == 0
 
     def test_malformed_input_raises(self):
         with pytest.raises(ValueError):
@@ -320,26 +329,20 @@ class TestFloatKernelProperty:
         prob, warm = case
         # Skip problems whose verdict hangs on the tolerances: a minimum row
         # violation between the oracle's 1e-9 and the solver's 1e-7.
-        slack = highs_min_slack(*prob._stacked())
+        G, b = stacked(prob)
+        slack = highs_min_slack(G, b)
         assume(not 1e-12 < slack < 1e-6)
-        calls = []
-        real = qp.linprog
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qp, "linprog", lambda G, b: calls.append(1) or real(G, b))
-            sol = solve(prob, warm_start=warm)
-            assert not calls  # solve itself never runs the LP
-            ref = oracle(prob)
-            assert sol.status == ("infeasible" if ref is None else "optimal")
-            if ref is not None:
-                assert np.abs(np.asarray(sol.u) - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
-                assert sol.kkt_residual <= 1e-8
-                assert math.isnan(sol.phase1_slack) and not calls
-                return
-            # a degenerate row's bound, or the LP run once, on the first read
-            lp_runs = int(max((prob._b[r] for r in prob._degenerate), default=0.0) <= qp.FEAS_TOL)
-            slack = sol.phase1_slack
-            assert slack > qp.PHASE1_TOL and len(calls) == lp_runs
-            assert sol.phase1_slack == slack and len(calls) == lp_runs  # cached
+        sol = solve(prob, warm_start=warm)
+        ref = oracle(prob)
+        assert sol.status == ("infeasible" if ref is None else "optimal")
+        if ref is not None:
+            assert np.abs(np.asarray(sol.u) - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
+            assert sol.kkt_residual <= 1e-8
+            return
+        # the certificate's rows alone admit no point
+        cert = list(sol.active_set)
+        assert cert and cert == sorted(set(cert)) and not sol.iteration_limited
+        assert highs_min_slack(G[cert], b[cert]) > 1e-9
 
     def test_same_row_twice(self):
         # the second copy lies in the span of the first and never enters
@@ -385,7 +388,7 @@ class TestFloatKernelProperty:
         assert sol.kkt_residual <= 1e-9
 
 
-class TestVerifyKkt:
+class TestKktResidual:
     """The KKT residual solve() reports, and the check behind it."""
 
     def test_optimal_residual_small(self):
@@ -424,14 +427,13 @@ def left_turn_solves():
 
 
 class TestDiagnosticsOnRead:
-    """kkt_residual and phase1_slack: computed on first read, to the bits of
-    the computations solve() used to make on every tick."""
+    """kkt_residual: computed on first read, to the bits of the computation
+    solve() used to make on every tick."""
 
     def test_captured_ticks_read_the_eager_values(self, left_turn_solves):
         seen = Counter()
         for prob, sol in left_turn_solves:
-            assert not {"kkt_residual", "phase1_slack"} & vars(sol).keys()
-            worst = max((prob._b[r] for r in prob._degenerate), default=0.0)
+            assert "kkt_residual" not in vars(sol)
             if sol.status == "optimal":
                 u = list(sol.u)
                 res = qp._residuals(prob, u)
@@ -441,22 +443,15 @@ class TestDiagnosticsOnRead:
                     want, kind = qp._kkt_residual(prob, u, sol.active_set, lam, res), "iterated"
                 else:  # the clipped target: its largest row violation
                     want, kind = max(0.0, -min(res[:len(prob._b)], default=0.0)), "fast"
-                assert sol.kkt_residual == want and math.isnan(sol.phase1_slack)
+                assert sol.kkt_residual == want
             else:
                 assert math.isnan(sol.kkt_residual) and not sol.iteration_limited
-                if worst > qp.FEAS_TOL:
-                    want, kind = worst, "degenerate"
-                else:
-                    want, kind = qp.linprog(*prob._stacked())[1], "dual verdict"
-                assert sol.phase1_slack == want and want > qp.PHASE1_TOL
+                assert sol.active_set
+                kind = "infeasible"
             seen[kind] += 1
-        assert seen["iterated"] and seen["fast"] and seen["dual verdict"] > 10, seen
+        assert seen["iterated"] and seen["fast"] and seen["infeasible"] > 10, seen
 
-    def test_repr_and_eq_compute_nothing(self, monkeypatch):
-        def no_lp(G, b):
-            raise AssertionError("the LP ran")
-
-        monkeypatch.setattr(qp, "linprog", no_lp)
+    def test_repr_and_eq_compute_nothing(self):
         infeasible = QpProblem(dim=2, target=[3.0, 0.0],
                                rows=((((0, 1.0),), 5.0), (((0, -1.0),), -4.0)))
         iterated = QpProblem(dim=2, target=[0.0, 0.0],
@@ -464,8 +459,7 @@ class TestDiagnosticsOnRead:
         for prob in (infeasible, iterated):
             sol, again = solve(prob), solve(prob)
             assert sol == again and repr(sol) == repr(again)
-            assert "kkt_residual" not in repr(sol) and "phase1_slack" not in repr(sol)
-            assert not {"kkt_residual", "phase1_slack"} & vars(sol).keys()
+            assert "kkt_residual" not in repr(sol) and "kkt_residual" not in vars(sol)
         assert solve(iterated).iterations > 0
 
 
@@ -501,6 +495,12 @@ def per_row_reference(dim, rows, box):
     return G / scale[:, None], b / scale, norms <= 1e-13
 
 
+def stacked(prob):
+    """(G, b) of every internal row of prob as arrays: per_row_reference's,
+    which TestConstructorBits checks against the solver's rows."""
+    return per_row_reference(prob.dim, dense_rows(prob.rows, prob.dim), prob.box)[:2]
+
+
 def assert_same_bytes(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -512,8 +512,7 @@ def assert_reference_bytes(prob, rows, box, target):
 
     Internal form: normalized user rows (_G, _b) as lists of floats, the
     target and the box bounds as float tuples, one tolerance per internal row
-    (_tol), the indices of degenerate rows, and _stacked(), the [G; I; -I]
-    system of the phase-1 LP.
+    (_tol) and the indices of degenerate rows.
     """
     dim, n = prob.dim, len(rows)
     G, b, degenerate = per_row_reference(dim, rows, box)
@@ -528,8 +527,6 @@ def assert_reference_bytes(prob, rows, box, target):
         assert_same_bytes(np.array(prob.box[0]), b[n:n + dim])
         assert_same_bytes(-np.array(prob.box[1]), b[n + dim:])
     assert_same_bytes(np.array(prob._tol), qp.FEAS_TOL * (1.0 + np.abs(b)))
-    for got, want in zip(prob._stacked(), (G, b)):
-        assert_same_bytes(got, want)
     assert_same_bytes(np.array(prob.target), np.asarray(target, dtype=float))
 
 
@@ -575,12 +572,14 @@ class TestConstructorBits:
 
     def test_no_rows(self):
         prob = self.check(3, (), None)
-        assert prob._G == [] and prob._stacked()[0].shape == (0, 3)
+        assert prob._G == [] and prob._b == [] and prob._tol == []
         self.check(3, [], ([-1.0] * 3, [1.0] * 3))
 
     def test_box_block_has_positive_zeros(self):
-        G = self.check(5, [], (np.full(5, -2.0), np.full(5, 2.0)))._stacked()[0]
-        assert not np.signbit(G[G == 0.0]).any()
+        # the +-e_i a box row enters the active set as
+        prob = self.check(5, [], (np.full(5, -2.0), np.full(5, 2.0)))
+        G = np.array([prob._vector(r) for r in range(len(prob._tol))])
+        assert G.shape == (10, 5) and not np.signbit(G[G == 0.0]).any()
 
     def test_zero_and_degenerate_rows(self):
         rows = [([0.0, 0.0], 1.0), ([1e-15, -1e-15], -2.0), ([3.0, 4.0], 1.0)]
@@ -715,41 +714,28 @@ class TestLazyScipy:
         code = ("from ffcbf.qp import QpProblem, solve; "
                 "sol = solve(QpProblem(dim=2, target=[3.0, 0.0], "
                 "rows=((((0, 1.0),), 5.0), (((0, -1.0),), -4.0)))); "
-                f"print(sol.status, sol.phase1_slack, {_SCIPY_MODULES})")
-        status, slack, modules = _fresh_interpreter(code).split(maxsplit=2)
-        assert status == "infeasible" and float(slack) == pytest.approx(0.5)
-        assert modules.strip() == "[]"
-
-    def test_compare_run_leaves_scipy_unloaded(self, tmp_path):
-        # a centralized left-turn compare run has infeasible ticks, and no
-        # caller reads their phase1_slack: the LP never runs
-        code = ("import json; from ffcbf import cli, qp; calls = []; real = qp.linprog; "
-                "qp.linprog = lambda G, b: calls.append(1) or real(G, b); "
-                "rc = cli.main(['compare', '--mode', 'centralized', '--scenario', 'left-turn', "
-                "'--trials', '2', '--seed', '0', '--workers', '1', '--out', sys.argv[2]]); "
-                f"print(json.dumps([rc, len(calls), {_SCIPY_MODULES}]))")
-        rc, calls, modules = json.loads(_fresh_interpreter(code, str(tmp_path)).splitlines()[-1])
-        assert rc == 0 and calls == 0
+                f"print(json.dumps([sol.status, sol.active_set, {_SCIPY_MODULES}]))")
+        status, rows, modules = json.loads(_fresh_interpreter("import json; " + code))
+        assert status == "infeasible" and rows == [0, 1]
         assert modules == []
 
-    def test_phase1_calls_the_module_attribute(self, monkeypatch):
-        calls = []
-        real = qp.linprog
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(qp, "linprog", counting)
-        prob = QpProblem(dim=2, target=[3.0, 0.0],
-                         rows=((((0, 1.0),), 5.0), (((0, -1.0),), -4.0)))
-        sol = solve(prob)
-        assert sol.status == "infeasible" and not calls
-        assert sol.phase1_slack == pytest.approx(0.5) and calls == [1]
+    def test_compare_run_leaves_scipy_unloaded(self, tmp_path):
+        # a centralized left-turn compare run has infeasible ticks
+        code = ("import json; from ffcbf import cli, qp; verdicts = []; real = qp.solve; "
+                "qp.solve = lambda *a: verdicts.append(real(*a)) or verdicts[-1]; "
+                "rc = cli.main(['compare', '--mode', 'centralized', '--scenario', 'left-turn', "
+                "'--trials', '2', '--seed', '0', '--workers', '1', '--out', sys.argv[2]]); "
+                "infeasible = sum(sol.status == 'infeasible' for sol in verdicts); "
+                f"print(json.dumps([rc, infeasible, {_SCIPY_MODULES}]))")
+        out = _fresh_interpreter(code, str(tmp_path))
+        rc, infeasible, modules = json.loads(out.splitlines()[-1])
+        assert rc == 0 and infeasible > 0
+        assert modules == []
 
 
 def highs_min_slack(G, b):
-    """Oracle: the phase-1 LP through scipy's HiGHS, with tight tolerances."""
+    """Oracle: min s s.t. G u + s >= b, s >= 0, the least over u of the
+    largest row violation, through scipy's HiGHS with tight tolerances."""
     from scipy.optimize import linprog as highs_linprog
 
     m, dim = G.shape
@@ -763,133 +749,3 @@ def highs_min_slack(G, b):
                                  "dual_feasibility_tolerance": 1e-10})
     assert res.success, res.message
     return float(res.x[-1])
-
-
-def lp_rows(dim, rows, box=None):
-    """The normalized (G, b) that solve() hands to the phase-1 LP, and the
-    row tolerances."""
-    prob = QpProblem(dim=dim, target=np.zeros(dim), rows=sparse_rows(rows), box=box)
-    return (*prob._stacked(), np.array(prob._tol))
-
-
-class TestPhase1Lp:
-    """qp.linprog against HiGHS on the LP min s s.t. G u + s >= b, s >= 0.
-
-    Slacks are compared in units of the problem's scale: at |b| ~ 1e6 the
-    rounding of G u alone is ~1e-10 in absolute terms.
-    """
-
-    def check(self, G, b, tol, scale=1.0):
-        u, s = qp.linprog(G, b)
-        ref = highs_min_slack(G, b)
-        agree = 1e-9 * (scale + abs(ref))
-        assert u.shape == (G.shape[1],) and np.isfinite(u).all()
-        assert s >= 0.0
-        assert abs(s - ref) <= agree, (s, ref)
-        assert (G @ u + s - b + tol).min(initial=0.0) >= 0.0
-        if abs(ref - qp.PHASE1_TOL) > agree:
-            assert (s > qp.PHASE1_TOL) == (ref > qp.PHASE1_TOL), (s, ref)
-        return u, s
-
-    @pytest.mark.parametrize("exponent", [-6, -3, 0, 3, 6])
-    def test_random_problems(self, exponent):
-        scale = 10.0 ** exponent
-        rng = np.random.default_rng(100 + exponent)
-        for _ in range(200):
-            dim = int(rng.integers(1, 12))
-            rows = [(rng.normal(0, 1, dim) * rng.choice([1e-3, 1.0, 1e3]),
-                     rng.normal(-0.5, 2) * scale)
-                    for _ in range(int(rng.integers(0, 41)))]
-            box = None
-            if rng.random() < 0.3:
-                lo = rng.uniform(-5, 0, dim) * scale
-                box = (lo, lo + rng.uniform(0, 5, dim) * scale)
-            G, b, tol = lp_rows(dim, rows, box)
-            self.check(G, b, tol, scale)
-
-    def test_fewer_rows_than_dim_plus_one(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            dim = int(rng.integers(1, 12))
-            rows = [(rng.normal(0, 1, dim), rng.normal(1.0, 2))
-                    for _ in range(int(rng.integers(0, dim + 1)))]
-            G, b, tol = lp_rows(dim, rows)
-            self.check(G, b, tol)
-
-    def test_duplicate_zero_and_opposite_rows(self):
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            dim = int(rng.integers(1, 8))
-            rows = []
-            for _ in range(int(rng.integers(1, 8))):
-                c, lb = rng.normal(0, 1, dim), rng.normal(1.0, 2)
-                rows += [(c, lb)] * int(rng.integers(1, 4))     # duplicates
-                if rng.random() < 0.5:
-                    rows.append((-c, -lb))                      # opposite: c.u == lb
-            if rng.random() < 0.5:
-                rows.append((np.zeros(dim), -abs(rng.normal())))   # vacuous zero row
-            order = rng.permutation(len(rows))
-            G, b, tol = lp_rows(dim, [rows[k] for k in order])
-            self.check(G, b, tol)
-
-    def test_exact_zero_slack(self):
-        # u1 == 1 and u2 == 2, each stated twice and from both sides
-        rows = [([1.0, 0.0], 1.0), ([-1.0, 0.0], -1.0), ([0.0, 2.0], 4.0),
-                ([0.0, -1.0], -2.0), ([1.0, 0.0], 1.0), ([0.0, -3.0], -6.0)]
-        G, b, tol = lp_rows(2, rows)
-        u, s = self.check(G, b, tol)
-        assert s == 0.0
-        assert u == pytest.approx([1.0, 2.0], abs=1e-12)
-
-    def test_zero_row_sets_the_slack(self):
-        G, b, tol = lp_rows(2, [([0.0, 0.0], 0.25), ([1.0, 1.0], 3.0)])
-        assert self.check(G, b, tol)[1] == pytest.approx(0.25, abs=1e-15)
-
-    def test_degenerate_vertex(self):
-        # 24 rows (each twice) tangent to the unit circle: at u = 0 the slack is
-        # 1 and every row is tight, the degenerate vertex on which pivoting
-        # rules without an anti-cycling guarantee can cycle
-        angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
-        rows = [([np.cos(a), np.sin(a)], 1.0) for a in angles] * 2
-        G, b, tol = lp_rows(2, rows)
-        u, s = self.check(G, b, tol)
-        assert s == pytest.approx(1.0, abs=1e-12)
-        assert u == pytest.approx([0.0, 0.0], abs=1e-12)
-
-    def test_beale_cycling_example(self):
-        """Beale's LP (1955), on which the most-negative-cost rule cycles from
-        the slack basis; Bland's rule reaches the optimum -1/20."""
-        A = np.array([[0.25, -60.0, -1 / 25, 9.0],
-                      [0.5, -90.0, -1 / 50, 3.0],
-                      [0.0, 0.0, 1.0, 0.0]])
-        rhs = np.array([0.0, 0.0, 1.0])
-        cost = np.array([-0.75, 150.0, -1 / 50, 6.0])
-        T = np.zeros((4, 8))
-        T[:3, :4] = A
-        T[:3, 4:7] = np.eye(3)
-        T[:3, 7] = rhs
-        T[3, :4] = cost
-        basis = np.arange(4, 7)
-        qp._simplex(T, basis)
-        x = np.zeros(7)
-        x[basis] = T[:3, 7]
-        assert cost @ x[:4] == pytest.approx(-0.05, abs=1e-12)
-        assert -T[3, 7] == pytest.approx(-0.05, abs=1e-12)
-        assert (A @ x[:4] <= rhs + 1e-12).all() and (x >= 0.0).all()
-
-    def test_no_rows_or_nothing_violated(self):
-        for G, b in ((np.zeros((0, 3)), np.zeros(0)),
-                     (np.eye(2), np.array([-1.0, 0.0]))):
-            u, s = qp.linprog(G, b)
-            assert s == 0.0 and u.tolist() == [0.0] * G.shape[1]
-
-    def test_pivot_cap_raises(self, monkeypatch):
-        prob = QpProblem(dim=2, target=[3.0, 0.0],
-                         rows=((((0, 1.0),), 5.0), (((0, -1.0),), -4.0)))
-        monkeypatch.setattr(qp, "LP_MAX_PIVOTS", 0)
-        with pytest.raises(RuntimeError, match="phase-1 LP failed"):
-            qp.linprog(*prob._stacked())
-        sol = solve(prob)  # the verdict comes from the dual method alone
-        assert sol.status == "infeasible" and sol.u is None
-        with pytest.raises(RuntimeError, match="phase-1 LP failed"):
-            sol.phase1_slack

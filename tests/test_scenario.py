@@ -4,7 +4,6 @@ import os
 import numpy as np
 import pytest
 
-from ffcbf import qp
 from ffcbf.barriers import FfParams, RffParams
 from ffcbf.controllers import ControllerConfig, NominalTarget, build_centralized_qp
 from ffcbf.dynamics import VehicleState, planar_velocity
@@ -440,15 +439,6 @@ class TestSeed0Outcomes:
             assert tuple(k for k, v in r.flags().items() if v) == flags, index
             assert r.completion_time == completion, index
             assert r.min_h0 == pytest.approx(min_h0, abs=1e-5), index
-
-    def test_left_turn_ff_never_runs_the_lp(self, monkeypatch):
-        # these trials have infeasible ticks; nothing on the tick reads
-        # phase1_slack, so the outcomes hold with the LP unavailable
-        def no_lp(G, b):
-            raise AssertionError("the phase-1 LP ran")
-
-        monkeypatch.setattr(qp, "linprog", no_lp)
-        self.test_flags_times_and_min_h0("one_left_turn", "ff")
 
 
 class TestConfigValidation:
