@@ -6,14 +6,15 @@ harness for the four-way unsignaled intersection benchmark.
 """
 
 from .barriers import (
-    BarrierEval,
     FfParams,
+    PairTerms,
     RffParams,
     constraint_row,
     h0,
     h_ff,
     h_rff,
     h_speed,
+    pair_row,
     smooth_switch,
     tau_hat,
     tau_star_hat,

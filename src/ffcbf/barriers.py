@@ -17,10 +17,11 @@ squared distance under a zero-acceleration (constant velocity) forecast:
     tau_hat      = tau_star_hat * K_0 + (tau_bar - tau_star_hat) * K_tau_bar
 
 Each barrier can be assembled into a QP row  phi + gamma_i*a_i + gamma_j*a_j >= 0
-equivalent to hdot >= -alpha_gain * h.  Slip-angle rates omega are fixed
-before the QP (exogenous), so their effect on the differential acceleration
-is folded into phi; only the rear-wheel accelerations remain as decision
-variables.  All derivatives are analytic; finite-difference tests guard them.
+equivalent to hdot >= -alpha_gain * h.  constraint_row gives a pair's
+omega-free terms once; pair_row folds in the slip-angle rates, which are
+fixed before the QP (exogenous), so only the rear-wheel accelerations remain
+as decision variables.  All derivatives are analytic; finite-difference
+tests guard them.
 
 The distance barrier h_0 has no acceleration term in its first derivative,
 so its row ("zero" kind) is the second-order construction
@@ -29,12 +30,12 @@ which is the standard treatment for relative-degree-2 distance constraints.
 
 All functions are written in plain float math (they sit on the per-tick
 control path) and take each vehicle's trig and planar velocity from
-VehicleState.trig, which is computed once per state.  A QP builder reads
-each vehicle's per-tick terms (position, velocity, S columns and drift) once
-per tick with _vehicle_planar and hands those tuples to constraint_row for
-every pair the vehicle is in; h_ff and h_rff build the same tuples' leading
-(x, y, xdot, ydot) from the states, so the pair formula (_pair_core) has one
-copy.
+VehicleState.trig, which is computed once per state.  controllers.tick_frame
+reads each vehicle's per-tick terms (position, velocity, S columns and drift)
+once per tick with _vehicle_planar and each unordered pair's terms once with
+constraint_row; h_ff and h_rff, the reference values the tests hold those
+to, build the same tuples' leading (x, y, xdot, ydot) from the states, so
+the pair formula (_pair_core) has one copy.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .dynamics import VehicleState
 __all__ = [
     "FfParams",
     "RffParams",
-    "BarrierEval",
+    "PairTerms",
     "h_speed",
     "h0",
     "tau_star_hat",
@@ -57,6 +58,7 @@ __all__ = [
     "h_ff",
     "h_rff",
     "constraint_row",
+    "pair_row",
 ]
 
 
@@ -91,18 +93,20 @@ class RffParams:
             raise ValueError(f"invalid RffParams {self}")
 
 
-class BarrierEval(NamedTuple):
-    """Barrier value and its QP constraint row phi + gamma_i*a_i + gamma_j*a_j >= 0.
+class PairTerms(NamedTuple):
+    """Omega-free row terms of a pair (i, j): c0 + c . alpha (+ class_k) >= 0.
 
-    phi bundles every term not multiplied by a decision variable: the drift
-    of hdot (including the contribution of the fixed slip-angle rates) plus
-    the class-K term alpha_gain * value.
+    value is the active kind's barrier (h0 for "zero").  class_k is
+    alpha_gain * value, or None for "zero", whose class-K terms sit in c0.
+    For the pair (j, i), (cx, cy) change sign exactly; the rest is unchanged.
     """
 
+    h0: float
     value: float
-    phi: float
-    gamma_i: float
-    gamma_j: float
+    c0: float
+    cx: float
+    cy: float
+    class_k: float | None
 
 
 def h_speed(state: VehicleState, v_max: float, alpha_gain: float):
@@ -212,23 +216,20 @@ def constraint_row(
     kind: str,
     planar_i: tuple,
     planar_j: tuple,
-    exogenous_omega_i: float,
-    exogenous_omega_j: float,
     alpha_gain: float,
     rff: RffParams,
     hocbf_gain: float,
     zero_margin: float,
-) -> BarrierEval:
-    """Assemble the QP row of a pairwise barrier for decision variables (a_i, a_j).
+) -> PairTerms:
+    """The omega-free row terms of a pairwise barrier for the pair (i, j).
 
     planar_i and planar_j are the two vehicles' _vehicle_planar terms.  kind
     selects the barrier: "zero" (second-order distance row), "ff", or
-    "rff".  The fixed slip-angle rates enter the differential acceleration
-    through the omega columns of each vehicle's S matrix and are folded into
-    phi together with the class-K term alpha_gain * value.
+    "rff".  pair_row turns the terms into the QP row of either vehicle.
 
     The distance barrier has relative degree two in the accelerations, so its
-    row stacks two first-order conditions with slope hocbf_gain.  That slope
+    row stacks two first-order conditions with slope hocbf_gain:
+    2q + 2 xi.alpha + 4 g p + g^2 h0 >= 0, so c = 2 xi.  That slope
     is deliberately independent of alpha_gain: it must respect the braking
     authority a_bar or the program loses feasibility exactly when the
     constraint matters (the default respects a_bar at benchmark speeds).
@@ -248,30 +249,15 @@ def constraint_row(
     """
     ff = rff.ff
     xi_x, xi_y, nu_x, nu_y, p, q, D, ts, K0, Kt, th = _pair_core(planar_i, planar_j, ff)
-    _, _, _, _, swxi, swyi, saxi, sayi, daxi, dayi = planar_i
-    _, _, _, _, swxj, swyj, saxj, sayj, daxj, dayj = planar_j
-    # Differential acceleration with accelerations a_i = a_j = 0:
-    # alpha0 = alpha_drift + s_w_i * omega_i - s_w_j * omega_j
-    a0x = (daxi - daxj) + swxi * exogenous_omega_i - swxj * exogenous_omega_j
-    a0y = (dayi - dayj) + swyi * exogenous_omega_i - swyj * exogenous_omega_j
-
     base = xi_x * xi_x + xi_y * xi_y - 4.0 * ff.R * ff.R
 
     if kind == "zero":
-        # h1 = h0' + g*h0; row is h1' + g*h1 >= 0, i.e.
-        # 2q + 2 xi.alpha + 4 g p + g^2 h0 >= 0, on the padded boundary.
+        # h1 = h0' + g*h0; row is h1' + g*h1 >= 0, on the padded boundary.
         g = hocbf_gain
         pad = 2.0 * ff.R + zero_margin
-        base = xi_x * xi_x + xi_y * xi_y - pad * pad
-        phi = (
-            2.0 * q
-            + 4.0 * g * p
-            + g * g * base
-            + 2.0 * (xi_x * a0x + xi_y * a0y)
-        )
-        gamma_i = 2.0 * (xi_x * saxi + xi_y * sayi)
-        gamma_j = -2.0 * (xi_x * saxj + xi_y * sayj)
-        return BarrierEval(base, phi, gamma_i, gamma_j)
+        padded = xi_x * xi_x + xi_y * xi_y - pad * pad
+        c0 = 2.0 * q + 4.0 * g * p + g * g * padded
+        return PairTerms(base, base, c0, 2.0 * xi_x, 2.0 * xi_y, None)
 
     if kind not in ("ff", "rff"):
         raise ValueError(f"unknown barrier kind {kind!r}")
@@ -300,7 +286,30 @@ def constraint_row(
         cy = cy + hw * Ay
         value = value + k0g * base
 
-    drift = c0 + cx * a0x + cy * a0y
-    gamma_i = cx * saxi + cy * sayi
-    gamma_j = -(cx * saxj + cy * sayj)
-    return BarrierEval(value, drift + alpha_gain * value, gamma_i, gamma_j)
+    return PairTerms(base, value, c0, cx, cy, alpha_gain * value)
+
+
+def pair_row(terms: PairTerms, planar_e: tuple, planar_o: tuple,
+             omega_e: float, omega_o: float, sign: int):
+    """(phi, gamma_e, gamma_o) of the row phi + gamma_e*a_e + gamma_o*a_o >= 0.
+
+    terms are constraint_row's for the pair (i, j); sign is 1 when the
+    vehicles (e, o) are (i, j) and -1 when they are (j, i).  The fixed
+    slip-angle rates enter the differential acceleration through the omega
+    columns of each vehicle's S matrix, alpha = alpha0 + s_a_e a_e - s_a_o a_o
+    with alpha0 = drift_e - drift_o + s_w_e omega_e - s_w_o omega_o, so
+    phi = c0 + c . alpha0 (+ class_k), gamma_e = c . s_a_e, gamma_o = -c . s_a_o.
+    With sign -1 the row equals, bit for bit, that of terms computed for (j, i).
+    """
+    _, _, _, _, swxe, swye, saxe, saye, daxe, daye = planar_e
+    _, _, _, _, swxo, swyo, saxo, sayo, daxo, dayo = planar_o
+    a0x = (daxe - daxo) + swxe * omega_e - swxo * omega_o
+    a0y = (daye - dayo) + swye * omega_e - swyo * omega_o
+    _, _, c0, cx, cy, class_k = terms
+    if sign < 0:
+        cx, cy = -cx, -cy
+    if class_k is None:
+        phi = c0 + (cx * a0x + cy * a0y)
+    else:
+        phi = c0 + cx * a0x + cy * a0y + class_k
+    return phi, cx * saxe + cy * saye, -(cx * saxo + cy * sayo)

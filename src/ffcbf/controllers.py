@@ -18,13 +18,15 @@ through one strictly convex QP per tick:
   keep both agents' drift but only the ego's gamma coefficient, and a small
   epsilon is subtracted from each row's left-hand side.
 
-Each builder computes every vehicle's planar terms (barriers._vehicle_planar)
-once per tick and reads them for all pair rows the vehicle is in.  Each
-row goes to qp.QpProblem as its nonzero (index, coeff) pairs and its lower
-bound: one pair per speed row and per decentralized pair row, two per
-centralized pair row.  The box is the same pair of tuples on every tick, so
-qp takes its bounds and tolerances from its box cache.  Every per-tick vector is plain
-floats: the target q*, the gain, the QP's target and its answer.
+The first controller call of a tick builds its TickFrame (tick_frame): every
+vehicle's planar terms and every unordered pair's row terms, once.  It
+returns the frame on its StepResult; the other egos of the tick take it as
+an argument.  Each row goes to qp.QpProblem as its nonzero (index, coeff)
+pairs and its lower bound: one pair per speed row and per decentralized pair
+row, two per centralized pair row.  The box is the same pair of tuples on
+every tick, so qp takes its bounds and tolerances from its box cache.  Every
+per-tick vector is plain floats: the target q*, the gain, the QP's target
+and its answer.
 
 An infeasible QP applies maximum braking and reports feasible=False.
 """
@@ -33,15 +35,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import qp
-from .barriers import RffParams, _vehicle_planar, constraint_row, h_speed
+from .barriers import PairTerms, RffParams, _vehicle_planar, constraint_row, h_speed, pair_row
 from .dynamics import ControlInput, VehicleParams, VehicleState
 
 __all__ = [
     "NominalTarget",
     "ControllerConfig",
     "StepResult",
+    "TickFrame",
+    "tick_frame",
     "lqr_gain",
     "nominal_control",
     "saturate_omega",
@@ -164,13 +169,38 @@ def saturate_omega(omega0: float, omega_bar: float) -> float:
     return min(max(omega0, -omega_bar), omega_bar)
 
 
+class TickFrame(NamedTuple):
+    """One tick's _vehicle_planar terms per vehicle, and (i, j, PairTerms) for
+    every pair i < j in lexicographic order, which is the pair-row order."""
+
+    planar: list
+    pairs: list[tuple[int, int, PairTerms]]
+
+
+def tick_frame(states, config: ControllerConfig) -> TickFrame:
+    """Each vehicle's planar terms and each unordered pair's row terms, once."""
+    lr = config.vehicle.lr
+    planar = [_vehicle_planar(st, lr) for st in states]
+    kind, alpha_gain, rff = config.cbf_kind, config.alpha_gain, config.rff
+    hocbf_gain, zero_margin = config.hocbf_gain, config.zero_margin
+    n = len(states)
+    pairs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            pairs.append((i, j, constraint_row(kind, planar[i], planar[j], alpha_gain, rff,
+                                               hocbf_gain, zero_margin)))
+    return TickFrame(planar, pairs)
+
+
 @dataclass(frozen=True)
 class StepResult:
-    """Filtered inputs for one tick plus feasibility and warm-start state."""
+    """Filtered inputs for one tick plus feasibility, warm-start state and
+    the tick's TickFrame."""
 
     inputs: tuple
     feasible: bool
-    active_set: tuple = ()
+    active_set: tuple
+    frame: TickFrame
 
 
 def _nominals(states, targets, config):
@@ -208,12 +238,11 @@ def _max_braking(state: VehicleState, config: ControllerConfig) -> float:
     return -config.a_bar
 
 
-def build_centralized_qp(states, targets, config: ControllerConfig):
+def build_centralized_qp(states, targets, config: ControllerConfig, frame: TickFrame):
     """QP over all vehicles' accelerations; returns (problem, omegas, accels).
 
     Row order is stable across ticks (speed rows, then pair rows in (i, j)
-    lexicographic order) so active sets warm-start the next tick.  Each
-    vehicle's planar terms are computed once and read by all its pair rows.
+    lexicographic order) so active sets warm-start the next tick.
     """
     n = len(states)
     omegas, accels = _nominals(states, targets, config)
@@ -221,17 +250,10 @@ def build_centralized_qp(states, targets, config: ControllerConfig):
     for idx, st in enumerate(states):
         _, phi, gam = h_speed(st, config.v_max, config.speed_alpha)
         rows.append((((idx, gam),), -phi))
-    kind, alpha_gain, rff = config.cbf_kind, config.alpha_gain, config.rff
-    hocbf_gain, zero_margin = config.hocbf_gain, config.zero_margin
-    lr = config.vehicle.lr
-    planar = [_vehicle_planar(st, lr) for st in states]
-    for i in range(n):
-        for j in range(i + 1, n):
-            _, phi, gamma_i, gamma_j = constraint_row(
-                kind, planar[i], planar[j], omegas[i], omegas[j],
-                alpha_gain, rff, hocbf_gain, zero_margin,
-            )
-            rows.append((((i, gamma_i), (j, gamma_j)), -phi))
+    planar = frame.planar
+    for i, j, terms in frame.pairs:
+        phi, gamma_i, gamma_j = pair_row(terms, planar[i], planar[j], omegas[i], omegas[j], 1)
+        rows.append((((i, gamma_i), (j, gamma_j)), -phi))
     problem = qp.QpProblem(dim=n, target=accels, rows=rows,
                            box=((-config.a_bar,) * n, (config.a_bar,) * n))
     return problem, omegas, accels
@@ -239,50 +261,52 @@ def build_centralized_qp(states, targets, config: ControllerConfig):
 
 def centralized_step(states, targets, config: ControllerConfig, warm_start=None) -> StepResult:
     """One tick of the centralized filter over every vehicle's acceleration."""
-    problem, omegas, _ = build_centralized_qp(states, targets, config)
+    frame = tick_frame(states, config)
+    problem, omegas, _ = build_centralized_qp(states, targets, config, frame)
     sol = qp.solve(problem, warm_start)
     if sol.status == "optimal":
         inputs = tuple(map(ControlInput, omegas, sol.u))
-        return StepResult(inputs, True, sol.active_set)
+        return StepResult(inputs, True, sol.active_set, frame)
     # Infeasible program: brake to a stop, slip rates per the saturated nominal.
     inputs = tuple(
         ControlInput(w, _max_braking(st, config)) for w, st in zip(omegas, states)
     )
-    return StepResult(inputs, False, ())
+    return StepResult(inputs, False, (), frame)
 
 
-def build_decentralized_qp(ego_index, states, target_ego, config: ControllerConfig):
+def build_decentralized_qp(ego_index, states, target_ego, config: ControllerConfig,
+                           frame: TickFrame):
     """Single-variable QP for one ego; returns (problem, omega_star, a0)."""
     ego = states[ego_index]
     w0, a0 = nominal_control(ego, target_ego, config.lqr_gain, config.vehicle, config.v_eps)
     w_star = saturate_omega(w0, config.omega_bar)
     _, phi, gam = h_speed(ego, config.v_max, config.speed_alpha)
     rows = [(((0, gam),), -phi)]
-    lr = config.vehicle.lr
-    ego_planar = _vehicle_planar(ego, lr)
-    for j, other in enumerate(states):
-        if j == ego_index:
-            continue
-        # The ego knows the neighbors' states but not their inputs: the row
-        # keeps both drift terms (neighbor inputs taken as zero) and only the
-        # ego's acceleration coefficient.
-        ev = constraint_row(
-            config.cbf_kind, ego_planar, _vehicle_planar(other, lr), w_star, 0.0,
-            config.alpha_gain, config.rff, config.hocbf_gain, config.zero_margin,
-        )
-        rows.append((((0, ev.gamma_i),), -(ev.phi - config.decentral_eps)))
+    planar = frame.planar
+    # The ego knows the neighbors' states but not their inputs: the row
+    # keeps both drift terms (neighbor inputs taken as zero) and only the
+    # ego's acceleration coefficient.  Lexicographic pair order lists the
+    # ego's pairs in ascending order of the neighbor.
+    for i, j, terms in frame.pairs:
+        if ego_index in (i, j):
+            other, sign = (j, 1) if i == ego_index else (i, -1)
+            phi, gamma, _ = pair_row(terms, planar[ego_index], planar[other], w_star, 0.0, sign)
+            rows.append((((0, gamma),), -(phi - config.decentral_eps)))
     problem = qp.QpProblem(dim=1, target=[a0], rows=rows,
                            box=((-config.a_bar,), (config.a_bar,)))
     return problem, w_star, a0
 
 
 def decentralized_step(
-    ego_index, states, target_ego, config: ControllerConfig, warm_start=None
+    ego_index, states, target_ego, config: ControllerConfig, warm_start=None, frame=None
 ) -> StepResult:
-    """One tick of the decentralized filter for a single ego vehicle."""
-    problem, w_star, _ = build_decentralized_qp(ego_index, states, target_ego, config)
+    """One tick of the decentralized filter for a single ego vehicle; frame is
+    the tick's TickFrame from an earlier ego's StepResult, or None to build it."""
+    if frame is None:
+        frame = tick_frame(states, config)
+    problem, w_star, _ = build_decentralized_qp(ego_index, states, target_ego, config, frame)
     sol = qp.solve(problem, warm_start)
     if sol.status == "optimal":
-        return StepResult((ControlInput(w_star, sol.u[0]),), True, sol.active_set)
+        return StepResult((ControlInput(w_star, sol.u[0]),), True, sol.active_set, frame)
     inputs = (ControlInput(w_star, _max_braking(states[ego_index], config)),)
-    return StepResult(inputs, False, ())
+    return StepResult(inputs, False, (), frame)

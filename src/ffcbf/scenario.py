@@ -13,9 +13,10 @@ A trial first rejection-samples initial conditions until the constant
 velocity forecast keeps every pair at least 2R apart over the look-ahead
 horizon, then alternates controller ticks with RK4 integration until all
 vehicles exit at their designated lane (success), every moving vehicle has
-been stopped for 3 s (deadlock), or the time cap is hit (timeout).  Batches
-aggregate the Success / Feas / DLock / Unsafe / Avg-Time metrics over
-deterministically seeded trials.
+been stopped for 3 s (deadlock), or the time cap is hit (timeout); each
+tick's h0 and barrier values are read from the controller step's TickFrame.
+Batches aggregate the Success / Feas / DLock / Unsafe / Avg-Time metrics
+over deterministically seeded trials.
 
 Lane geometry, references and exit checks are plain floats, as they run on
 every tick; numpy holds the per-trial RNG, the trajectory log and the batch
@@ -31,7 +32,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barriers import RffParams, h0, h_ff, h_rff
+# Not called: ffcbf_bench/tracing.py hooks scenario.h0 by name (it reads 0).
+from .barriers import h0
 from .controllers import ControllerConfig, NominalTarget, centralized_step, decentralized_step
 from .dynamics import VehicleState, planar_velocity, step
 
@@ -396,6 +398,8 @@ class TrialResult:
     timeout: bool
     completion_time: float | None
     min_h0: float
+    # Smallest active-kind barrier value over the pairs at the first tick,
+    # before any input is applied; inf without pairs or controller ticks.
     initial_barrier_min: float
     resamples: int
     trajectory: TrajectoryLog | None = None
@@ -412,14 +416,6 @@ class TrialResult:
 
 def trial_rng(config: ScenarioConfig, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((config.seed, trial_index)))
-
-
-def _barrier_value(kind: str, zi: VehicleState, zj: VehicleState, rff: RffParams) -> float:
-    if kind == "zero":
-        return h0(zi, zj, rff.ff.R)
-    if kind == "ff":
-        return h_ff(zi, zj, rff.ff)
-    return h_rff(zi, zj, rff)
 
 
 def run_trial(config: ScenarioConfig, trial_index: int,
@@ -463,10 +459,6 @@ def run_trial(config: ScenarioConfig, trial_index: int,
     warm_decentral = [None] * n
 
     initial_barrier_min = math.inf
-    for i, j in pairs:
-        initial_barrier_min = min(
-            initial_barrier_min, _barrier_value(ctrl.cbf_kind, states[i], states[j], ctrl.rff)
-        )
 
     log = ([], [], [], [], []) if log_trajectory else None  # t, z, u, hb, h0
 
@@ -474,10 +466,10 @@ def run_trial(config: ScenarioConfig, trial_index: int,
     completion_time = None
     max_steps = int(round(config.t_max / dt))
     t_end = config.t_max - 1e-12
-    R, stop_speed = ff.R, config.stop_speed
+    stop_speed = config.stop_speed
     centralized = ctrl.mode == "centralized"
     vehicles = range(n)
-    for _ in range(max_steps + 1):
+    for tick in range(max_steps + 1):
         for i in vehicles:
             if not exited[i] and world.is_exited(i, states[i]):
                 exited[i] = True
@@ -489,14 +481,8 @@ def run_trial(config: ScenarioConfig, trial_index: int,
         if t >= t_end:
             break
 
-        h0_now = [h0(states[i], states[j], R) for i, j in pairs]
-        if h0_now:
-            min_h0 = min(min_h0, min(h0_now))
-
-        if clock.tick(all(exited[i] or states[i].v < stop_speed for i in vehicles)):
-            deadlock = True
-            break
-
+        # The step comes first because its frame holds the tick's h0 and
+        # barrier values.  On the deadlock tick its inputs go unused.
         targets = [ref(t) for ref in refs]
         if centralized:
             res = centralized_step(states, targets, ctrl, warm_central)
@@ -506,11 +492,24 @@ def run_trial(config: ScenarioConfig, trial_index: int,
         else:
             inputs = []
             feasible = True
+            frame = None
             for i in vehicles:
-                res = decentralized_step(i, states, targets[i], ctrl, warm_decentral[i])
+                res = decentralized_step(i, states, targets[i], ctrl, warm_decentral[i], frame)
+                frame = res.frame
                 warm_decentral[i] = res.active_set or None
                 inputs.append(res.inputs[0])
                 feasible = feasible and res.feasible
+        pairs_now = res.frame.pairs
+
+        h0_now = [pt.h0 for _, _, pt in pairs_now]
+        if h0_now:
+            min_h0 = min(min_h0, min(h0_now))
+        if tick == 0:
+            initial_barrier_min = min((pt.value for _, _, pt in pairs_now), default=math.inf)
+
+        if clock.tick(all(exited[i] or states[i].v < stop_speed for i in vehicles)):
+            deadlock = True
+            break
         if not feasible:
             always_feasible = False
 
@@ -518,8 +517,7 @@ def run_trial(config: ScenarioConfig, trial_index: int,
             log[0].append(t)
             log[1].append([(s.x, s.y, s.psi, s.beta, s.v) for s in states])
             log[2].append([(u.omega, u.a) for u in inputs])
-            log[3].append([_barrier_value(ctrl.cbf_kind, states[i], states[j], ctrl.rff)
-                           for i, j in pairs])
+            log[3].append([pt.value for _, _, pt in pairs_now])
             log[4].append((h0_now, feasible))
 
         states = [step(st, u, params, dt) for st, u in zip(states, inputs)]

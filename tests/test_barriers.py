@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ffcbf.barriers import (
     h_ff,
     h_rff,
     h_speed,
+    pair_row,
     smooth_switch,
     tau_hat,
     tau_star_hat,
@@ -38,6 +40,23 @@ def random_state(rng, pos=30.0, vmax=10.0):
 def planar(state):
     """The per-vehicle terms a QP builder hands to constraint_row."""
     return _vehicle_planar(state, VEH.lr)
+
+
+class PairRow(NamedTuple):
+    value: float
+    phi: float
+    gamma_i: float
+    gamma_j: float
+
+
+def pair_eval(kind, a, b, wa, wb, alpha_gain=10.0, hocbf_gain=HOCBF, zero_margin=MARGIN,
+              rff=RFF):
+    """Barrier value and QP row phi + gamma_i*a_a + gamma_j*a_b >= 0 of the pair
+    (a, b) at slip rates (wa, wb), through the production path: the pair's
+    constraint_row terms folded by pair_row."""
+    pa, pb = planar(a), planar(b)
+    terms = constraint_row(kind, pa, pb, alpha_gain, rff, hocbf_gain, zero_margin)
+    return PairRow(terms.value, *pair_row(terms, pa, pb, wa, wb, 1))
 
 
 def pair_tau_hat(a, b):
@@ -196,8 +215,7 @@ class TestRelativeKinematics:
     def test_identical_states(self):
         # xi = nu = 0: the distance row has no acceleration coefficients
         a = VehicleState(1, 2, 0.5, 0.1, 3)
-        ev = constraint_row("zero", planar(a), planar(a), 0.3, -0.2, 10.0, RFF,
-                            hocbf_gain=HOCBF, zero_margin=0.0)
+        ev = pair_eval("zero", a, a, 0.3, -0.2, zero_margin=0.0)
         assert ev.gamma_i == ev.gamma_j == 0.0
         assert ev.value == h0(a, a, FF.R) == -4.0 * FF.R ** 2
 
@@ -207,8 +225,7 @@ class TestRelativeKinematics:
         b = VehicleState(5, 5, 0.7, 0.2, 0)
         assert b.trig[5:7] == planar(b)[4:6] == (0.0, 0.0)
         for kind in ("zero", "ff", "rff"):
-            rows = [constraint_row(kind, planar(a), planar(b), 0.4, wb, 10.0, RFF, HOCBF, MARGIN)
-                    for wb in (-1.0, 1.0)]
+            rows = [pair_eval(kind, a, b, 0.4, wb) for wb in (-1.0, 1.0)]
             assert rows[0] == rows[1], kind
 
     def test_alpha_matches_finite_difference(self):
@@ -263,8 +280,7 @@ class TestConstraintRow:
                 if abs(th - (1.0 + RFF.k0_floor)) < 1e-3:
                     continue  # measure-zero kink of k0: one-sided by design
             (a_mid, b_mid), fd = self.fd_hdot(kind, a, b, ua, ub)
-            ev = constraint_row(kind, planar(a_mid), planar(b_mid), ua.omega, ub.omega,
-                                self.ALPHA, RFF, HOCBF, MARGIN)
+            ev = pair_eval(kind, a_mid, b_mid, ua.omega, ub.omega, self.ALPHA)
             pred = row_prediction(kind, ev, self.ALPHA, ua.a, ub.a)
             assert abs(fd - pred) <= 1e-4 * (1.0 + max(abs(fd), abs(pred))), (kind, a, b)
             n_checked += 1
@@ -287,8 +303,8 @@ class TestConstraintRow:
 
             fd = (h0dot(a_far, b_far) - h0dot(a, b)) / (2 * delta)
             g = 1.7
-            ev = constraint_row("zero", planar(a_mid), planar(b_mid), ua.omega, ub.omega,
-                                self.ALPHA, RFF, hocbf_gain=g, zero_margin=0.0)
+            ev = pair_eval("zero", a_mid, b_mid, ua.omega, ub.omega, self.ALPHA,
+                           hocbf_gain=g, zero_margin=0.0)
             row_h0ddot = (ev.phi + ev.gamma_i * ua.a + ev.gamma_j * ub.a
                           - 4 * g * 0.5 * h0dot(a_mid, b_mid)
                           - g ** 2 * ev.value)
@@ -310,7 +326,7 @@ class TestConstraintRow:
             ts = tau_star_hat(xi, nu, FF.epsilon)
             if not 0.05 <= ts <= FF.tau_bar - 0.05:
                 continue
-            ev = constraint_row("ff", planar(a), planar(b), 0.0, 0.0, self.ALPHA, RFF, HOCBF, MARGIN)
+            ev = pair_eval("ff", a, b, 0.0, 0.0, self.ALPHA)
             assert abs(ev.phi - self.ALPHA * ev.value) <= 1e-6
             checked += 1
 
@@ -320,14 +336,19 @@ class TestConstraintRow:
         for _ in range(50):
             a, b = random_state(rng), random_state(rng)
             wa, wb = rng.uniform(-1, 1), rng.uniform(-1, 1)
-            ev = constraint_row(kind, planar(a), planar(b), wa, wb, self.ALPHA, RFF, HOCBF, MARGIN)
-            sw = constraint_row(kind, planar(b), planar(a), wb, wa, self.ALPHA, RFF, HOCBF, MARGIN)
-            assert sw.value == pytest.approx(ev.value, rel=1e-12, abs=1e-12)
-            assert sw.phi == pytest.approx(ev.phi, rel=1e-9, abs=1e-9)
-            assert sw.gamma_i == pytest.approx(ev.gamma_j, rel=1e-12, abs=1e-12)
-            assert sw.gamma_j == pytest.approx(ev.gamma_i, rel=1e-12, abs=1e-12)
+            pa, pb = planar(a), planar(b)
+            ab = constraint_row(kind, pa, pb, self.ALPHA, RFF, HOCBF, MARGIN)
+            ba = constraint_row(kind, pb, pa, self.ALPHA, RFF, HOCBF, MARGIN)
+            # swapping the pair negates c exactly and keeps every other term
+            assert ba == ab._replace(cx=-ab.cx, cy=-ab.cy)
+            # so b's row from a's terms is bit for bit the row computed for (b, a)
+            sw = pair_row(ab, pb, pa, wb, wa, -1)
+            assert sw == pair_row(ba, pb, pa, wb, wa, 1)
+            phi, gamma_a, gamma_b = pair_row(ab, pa, pb, wa, wb, 1)
+            assert sw[1:] == (gamma_b, gamma_a)
+            assert sw[0] == pytest.approx(phi, rel=1e-9, abs=1e-9)
 
     def test_unknown_kind(self):
         a = VehicleState(0, 0, 0, 0, 1)
         with pytest.raises(ValueError):
-            constraint_row("bogus", planar(a), planar(a), 0, 0, 10.0, RFF, HOCBF, MARGIN)
+            constraint_row("bogus", planar(a), planar(a), 10.0, RFF, HOCBF, MARGIN)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from test_barriers import pair_eval
+
 from ffcbf import scenario
-from ffcbf.barriers import FfParams, RffParams, _vehicle_planar, constraint_row, h0
+from ffcbf.barriers import FfParams, RffParams, h0
 from ffcbf.controllers import (
     ControllerConfig,
     NominalTarget,
@@ -18,6 +20,7 @@ from ffcbf.controllers import (
     lqr_gain,
     nominal_control,
     saturate_omega,
+    tick_frame,
 )
 from ffcbf.dynamics import VehicleParams, VehicleState, step
 
@@ -160,7 +163,7 @@ class TestCentralizedStep:
         cfg = make_config()
         sts = [VehicleState(0, 0, 0, 0, 5.0), VehicleState(500, 500, 0, 0, 5.0)]
         tgts = [target_for(s, speed=9.0) for s in sts]  # demand hard acceleration
-        _, _, accels = build_centralized_qp(sts, tgts, cfg)
+        _, _, accels = build_centralized_qp(sts, tgts, cfg, tick_frame(sts, cfg))
         res = centralized_step(sts, tgts, cfg)
         assert res.feasible
         for u, a0 in zip(res.inputs, accels):
@@ -171,7 +174,7 @@ class TestCentralizedStep:
         a = VehicleState(-12.0, -1.3, 0.0, 0.0, 8.0)
         b = VehicleState(12.0, 1.3, math.pi, 0.0, 8.0)
         tgts = [target_for(a), target_for(b)]
-        problem, omegas, _ = build_centralized_qp([a, b], tgts, cfg)
+        problem, omegas, _ = build_centralized_qp([a, b], tgts, cfg, tick_frame([a, b], cfg))
         res = centralized_step([a, b], tgts, cfg)
         assert res.feasible
         u = np.array([inp.a for inp in res.inputs])
@@ -186,7 +189,7 @@ class TestCentralizedStep:
             VehicleState(40, 1.3, math.pi, 0, 6.0),
         ]
         tgts = [target_for(s) for s in sts]
-        problem, _, accels = build_centralized_qp(sts, tgts, cfg)
+        problem, _, accels = build_centralized_qp(sts, tgts, cfg, tick_frame(sts, cfg))
         clamped = np.clip(accels, -cfg.a_bar, cfg.a_bar)
         assert all(np.dot(c, clamped) >= lb for c, lb in dense_rows(problem))
         res = centralized_step(sts, tgts, cfg)
@@ -313,22 +316,17 @@ class TestDecentralizedStep:
             ]
             inputs = []
             rows = []
-            planar = [_vehicle_planar(s, VEH.lr) for s in states]
             for i in range(2):
                 res = decentralized_step(i, states, tgts[i], cfg)
                 assert res.feasible
                 inputs.append(res.inputs[0])
-                rows.append(constraint_row(
-                    "ff", planar[i], planar[1 - i], res.inputs[0].omega, 0.0,
-                    cfg.alpha_gain, cfg.rff, cfg.hocbf_gain, cfg.zero_margin,
-                ))
+                rows.append(pair_eval("ff", states[i], states[1 - i], res.inputs[0].omega, 0.0,
+                                      cfg.alpha_gain, rff=cfg.rff))
             # each ego row holds, so their sum does too
             for i in range(2):
                 assert rows[i].phi - cfg.decentral_eps + rows[i].gamma_i * inputs[i].a >= -1e-6
-            full = constraint_row(
-                "ff", planar[0], planar[1], inputs[0].omega, inputs[1].omega,
-                cfg.alpha_gain, cfg.rff, cfg.hocbf_gain, cfg.zero_margin,
-            )
+            full = pair_eval("ff", states[0], states[1], inputs[0].omega, inputs[1].omega,
+                             cfg.alpha_gain, rff=cfg.rff)
             hdot = (full.phi - cfg.alpha_gain * full.value
                     + full.gamma_i * inputs[0].a + full.gamma_j * inputs[1].a)
             assert hdot >= -2 * cfg.alpha_gain * full.value - 1e-4 * (1 + abs(full.value))

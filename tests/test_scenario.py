@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from ffcbf.barriers import FfParams, RffParams
-from ffcbf.controllers import ControllerConfig, NominalTarget, build_centralized_qp
+from ffcbf.barriers import FfParams, RffParams, h0, h_ff, h_rff
+from ffcbf.controllers import ControllerConfig, NominalTarget, build_centralized_qp, tick_frame
 from ffcbf.dynamics import VehicleState, planar_velocity
 from ffcbf.scenario import (
     BatchSummary,
@@ -319,7 +319,8 @@ class TestSafetyRadius:
         base, wide = self.configs()
         states = randomize_initial(base, trial_rng(base, 0))
         targets = [NominalTarget(np.array([s.x, s.y, *planar_velocity(s)])) for s in states]
-        rows = [build_centralized_qp(states, targets, cfg.controller)[0].rows
+        rows = [build_centralized_qp(states, targets, cfg.controller,
+                                     tick_frame(states, cfg.controller))[0].rows
                 for cfg in (base, wide)]
         n = base.num_vehicles
         shift = base.controller.alpha_gain * 4.0 * (self.R ** 2 - 1.25 ** 2)
@@ -430,15 +431,79 @@ SEED0_OUTCOMES = {
 }
 
 
+# Seed-0 decentralized outcomes of trials 0-1 in every cell, in the same
+# form.  They cover success, deadlock, timeout and unsafe.
+DECENTRAL_SEED0_OUTCOMES = {
+    ("all_straight", "zero"): [
+        (("success",), 7.849999999999877, 1.039947267676153),
+        (("deadlock",), None, 0.064387443916476),
+    ],
+    ("all_straight", "ff"): [
+        (("always_feasible", "timeout"), None, 0.3046723121685604),
+        (("success", "always_feasible"), 6.7599999999999, 1.0412873749884728),
+    ],
+    ("all_straight", "rff"): [
+        (("success", "always_feasible"), 6.659999999999902, 3.0280022199846712e-05),
+        (("success", "always_feasible"), 6.7599999999999, 1.0409270203071532),
+    ],
+    ("one_left_turn", "zero"): [
+        (("deadlock",), None, 0.2525068967750048),
+        (("deadlock", "unsafe"), None, -0.031474320832286296),
+    ],
+    ("one_left_turn", "ff"): [
+        (("success", "unsafe"), 7.419999999999886, -0.0003347058677256598),
+        (("success", "always_feasible"), 6.7599999999999, 1.0412873749884728),
+    ],
+    ("one_left_turn", "rff"): [
+        (("success", "always_feasible"), 6.659999999999902, 1.9459454362547035e-05),
+        (("success", "always_feasible"), 6.7599999999999, 1.0412873749884728),
+    ],
+}
+
+
+def check_outcomes(mode, scenario, kind, outcomes):
+    cfg = default_config(kind, mode, scenario, seed=0)
+    for index, (flags, completion, min_h0) in enumerate(outcomes):
+        r = run_trial(cfg, index)
+        assert tuple(k for k, v in r.flags().items() if v) == flags, index
+        assert r.completion_time == completion, index
+        assert r.min_h0 == pytest.approx(min_h0, abs=1e-5), index
+
+
 class TestSeed0Outcomes:
     @pytest.mark.parametrize("scenario, kind", sorted(SEED0_OUTCOMES))
     def test_flags_times_and_min_h0(self, scenario, kind):
-        cfg = default_config(kind, "centralized", scenario, seed=0)
-        for index, (flags, completion, min_h0) in enumerate(SEED0_OUTCOMES[scenario, kind]):
-            r = run_trial(cfg, index)
-            assert tuple(k for k, v in r.flags().items() if v) == flags, index
-            assert r.completion_time == completion, index
-            assert r.min_h0 == pytest.approx(min_h0, abs=1e-5), index
+        check_outcomes("centralized", scenario, kind, SEED0_OUTCOMES[scenario, kind])
+
+    @pytest.mark.parametrize("scenario, kind", sorted(DECENTRAL_SEED0_OUTCOMES))
+    def test_decentralized_flags_times_and_min_h0(self, scenario, kind):
+        check_outcomes("decentralized", scenario, kind, DECENTRAL_SEED0_OUTCOMES[scenario, kind])
+
+
+class TestTickFrameMatchesReferences:
+    """run_trial reads each tick's h0 and barrier values from the controller
+    step's TickFrame; they equal the reference formulas of the logged states
+    bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["centralized", "decentralized"])
+    @pytest.mark.parametrize("kind", ["zero", "ff", "rff"])
+    def test_logged_values(self, kind, mode):
+        cfg = default_config(kind, mode, "one_left_turn", seed=0, t_max=1.0)
+        r = run_trial(cfg, 0, log_trajectory=True)
+        log = r.trajectory
+        rff = cfg.controller.rff
+        reference = {
+            "zero": lambda a, b: h0(a, b, rff.ff.R),
+            "ff": lambda a, b: h_ff(a, b, rff.ff),
+            "rff": lambda a, b: h_rff(a, b, rff),
+        }[kind]
+        assert log.t.shape == (100,) and log.pairs == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        for states, barrier, h0_row in zip(log.states.tolist(), log.barrier.tolist(),
+                                           log.h0.tolist()):
+            states = [VehicleState(*z) for z in states]
+            assert h0_row == [h0(states[i], states[j], rff.ff.R) for i, j in log.pairs]
+            assert barrier == [reference(states[i], states[j]) for i, j in log.pairs]
+        assert r.initial_barrier_min == min(log.barrier[0].tolist())
 
 
 class TestConfigValidation:
