@@ -76,7 +76,8 @@ class FfParams:
     R: float = 1.25           # safety radius (m); barrier boundary is 2R separation
 
     def __post_init__(self) -> None:
-        if not (self.tau_bar > 0 and self.k >= 1.0 and 0 < self.epsilon < 1 and self.R > 0):
+        if not (0 < self.tau_bar < math.inf and 1.0 <= self.k < math.inf
+                and 0 < self.epsilon < 1 and 0 < self.R < math.inf):
             raise ValueError(f"invalid FfParams {self}")
 
 
@@ -89,7 +90,7 @@ class RffParams:
     k0_floor: float = 0.001
 
     def __post_init__(self) -> None:
-        if not (self.k0_scale > 0 and self.k0_floor > 0):
+        if not (0 < self.k0_scale < math.inf and 0 < self.k0_floor < math.inf):
             raise ValueError(f"invalid RffParams {self}")
 
 
@@ -225,7 +226,7 @@ def constraint_row(
 
     planar_i and planar_j are the two vehicles' _vehicle_planar terms.  kind
     selects the barrier: "zero" (second-order distance row), "ff", or
-    "rff".  pair_row turns the terms into the QP row of either vehicle.
+    "rff".  pair_row turns the terms into the pair's QP row.
 
     The distance barrier has relative degree two in the accelerations, so its
     row stacks two first-order conditions with slope hocbf_gain:
@@ -289,27 +290,23 @@ def constraint_row(
     return PairTerms(base, value, c0, cx, cy, alpha_gain * value)
 
 
-def pair_row(terms: PairTerms, planar_e: tuple, planar_o: tuple,
-             omega_e: float, omega_o: float, sign: int):
-    """(phi, gamma_e, gamma_o) of the row phi + gamma_e*a_e + gamma_o*a_o >= 0.
+def pair_row(terms: PairTerms, planar_i: tuple, planar_j: tuple,
+             omega_i: float, omega_j: float):
+    """(phi, gamma_i, gamma_j) of the row phi + gamma_i*a_i + gamma_j*a_j >= 0.
 
-    terms are constraint_row's for the pair (i, j); sign is 1 when the
-    vehicles (e, o) are (i, j) and -1 when they are (j, i).  The fixed
-    slip-angle rates enter the differential acceleration through the omega
-    columns of each vehicle's S matrix, alpha = alpha0 + s_a_e a_e - s_a_o a_o
-    with alpha0 = drift_e - drift_o + s_w_e omega_e - s_w_o omega_o, so
-    phi = c0 + c . alpha0 (+ class_k), gamma_e = c . s_a_e, gamma_o = -c . s_a_o.
-    With sign -1 the row equals, bit for bit, that of terms computed for (j, i).
+    terms are constraint_row's for the pair (i, j).  The fixed slip-angle
+    rates enter the differential acceleration through the omega columns of
+    each vehicle's S matrix, alpha = alpha0 + s_a_i a_i - s_a_j a_j with
+    alpha0 = drift_i - drift_j + s_w_i omega_i - s_w_j omega_j, so
+    phi = c0 + c . alpha0 (+ class_k), gamma_i = c . s_a_i, gamma_j = -c . s_a_j.
     """
-    _, _, _, _, swxe, swye, saxe, saye, daxe, daye = planar_e
-    _, _, _, _, swxo, swyo, saxo, sayo, daxo, dayo = planar_o
-    a0x = (daxe - daxo) + swxe * omega_e - swxo * omega_o
-    a0y = (daye - dayo) + swye * omega_e - swyo * omega_o
+    _, _, _, _, swxi, swyi, saxi, sayi, daxi, dayi = planar_i
+    _, _, _, _, swxj, swyj, saxj, sayj, daxj, dayj = planar_j
+    a0x = (daxi - daxj) + swxi * omega_i - swxj * omega_j
+    a0y = (dayi - dayj) + swyi * omega_i - swyj * omega_j
     _, _, c0, cx, cy, class_k = terms
-    if sign < 0:
-        cx, cy = -cx, -cy
     if class_k is None:
         phi = c0 + (cx * a0x + cy * a0y)
     else:
         phi = c0 + cx * a0x + cy * a0y + class_k
-    return phi, cx * saxe + cy * saye, -(cx * saxo + cy * sayo)
+    return phi, cx * saxi + cy * sayi, -(cx * saxj + cy * sayj)

@@ -8,33 +8,34 @@ the commanded planar acceleration mu = -K (zeta - q*) into bicycle inputs
 
 falling back to omega0 = 0, a0 = ||mu|| when |v| is below the S-matrix
 singularity threshold.  The slip-angle rate is saturated to [-omega_bar,
-omega_bar] before the QP; the rear-wheel accelerations are then filtered
-through one strictly convex QP per tick:
-
-* centralized: one program over all vehicles' accelerations, with box rows
-  |a_i| <= a_bar, one speed-limit row per vehicle and one pairwise barrier
-  row per unordered pair (both saturated omegas folded into the row drift).
-* decentralized: one program per ego over its own acceleration; pair rows
-  keep both agents' drift but only the ego's gamma coefficient, and a small
-  epsilon is subtracted from each row's left-hand side.
+omega_bar] before the QP; build_qp then filters the rear-wheel accelerations
+of an information pattern's free vehicles through one strictly convex QP,
+with box rows |a| <= a_bar, a speed-limit row per free vehicle and a
+pairwise barrier row per unordered pair with a free vehicle (every slip
+rate folded into the row drift).  A held vehicle's input is taken as zero:
+its rows keep both drift terms but only the free gamma, and a small epsilon
+is subtracted from their left-hand side.  Centralized mode frees every
+vehicle in one program per tick; decentralized mode solves one program per
+ego, which knows its neighbours' states but not their inputs.
 
 The first controller call of a tick builds its TickFrame (tick_frame): every
 vehicle's planar terms and every unordered pair's row terms, once.  It
 returns the frame on its StepResult; the other egos of the tick take it as
 an argument.  Each row goes to qp.QpProblem as its nonzero (index, coeff)
-pairs and its lower bound: one pair per speed row and per decentralized pair
-row, two per centralized pair row.  The box is the same pair of tuples on
+pairs and its lower bound: one pair per speed row and per row with a held
+vehicle, two per other pair row.  The box is the same pair of tuples on
 every tick, so qp takes its bounds and tolerances from its box cache.  Every
 per-tick vector is plain floats: the target q*, the gain, the QP's target
 and its answer.
 
-An infeasible QP applies maximum braking and reports feasible=False.
+An infeasible QP brakes every free vehicle as hard as its speed row allows
+and reports feasible=False.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from . import qp
@@ -52,8 +53,7 @@ __all__ = [
     "saturate_omega",
     "centralized_step",
     "decentralized_step",
-    "build_centralized_qp",
-    "build_decentralized_qp",
+    "build_qp",
 ]
 
 
@@ -121,6 +121,10 @@ class ControllerConfig:
     lqr_gain: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name, None)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.cbf_kind not in ("zero", "ff", "rff"):
             raise ValueError(f"unknown cbf_kind {self.cbf_kind!r}")
         if self.mode not in ("centralized", "decentralized"):
@@ -238,75 +242,66 @@ def _max_braking(state: VehicleState, config: ControllerConfig) -> float:
     return -config.a_bar
 
 
-def build_centralized_qp(states, targets, config: ControllerConfig, frame: TickFrame):
-    """QP over all vehicles' accelerations; returns (problem, omegas, accels).
+def build_qp(states, frame: TickFrame, free, omegas, target, config: ControllerConfig):
+    """CBF-QP whose column k is the acceleration of vehicle free[k] (ascending),
+    with nominal target[k]; omegas are every vehicle's slip rates, 0 for a held
+    vehicle, whose acceleration is 0 too.
 
     Row order is stable across ticks (speed rows, then pair rows in (i, j)
     lexicographic order) so active sets warm-start the next tick.
     """
-    n = len(states)
-    omegas, accels = _nominals(states, targets, config)
+    column = [None] * len(states)
     rows = []
-    for idx, st in enumerate(states):
-        _, phi, gam = h_speed(st, config.v_max, config.speed_alpha)
-        rows.append((((idx, gam),), -phi))
+    for k, v in enumerate(free):
+        column[v] = k
+        _, phi, gam = h_speed(states[v], config.v_max, config.speed_alpha)
+        rows.append((((k, gam),), -phi))
     planar = frame.planar
     for i, j, terms in frame.pairs:
-        phi, gamma_i, gamma_j = pair_row(terms, planar[i], planar[j], omegas[i], omegas[j], 1)
-        rows.append((((i, gamma_i), (j, gamma_j)), -phi))
-    problem = qp.QpProblem(dim=n, target=accels, rows=rows,
-                           box=((-config.a_bar,) * n, (config.a_bar,) * n))
-    return problem, omegas, accels
+        ci, cj = column[i], column[j]
+        if ci is None and cj is None:
+            continue
+        phi, gamma_i, gamma_j = pair_row(terms, planar[i], planar[j], omegas[i], omegas[j])
+        if cj is None:
+            rows.append((((ci, gamma_i),), -(phi - config.decentral_eps)))
+        elif ci is None:
+            rows.append((((cj, gamma_j),), -(phi - config.decentral_eps)))
+        else:
+            rows.append((((ci, gamma_i), (cj, gamma_j)), -phi))
+    m = len(free)
+    return qp.QpProblem(dim=m, target=target, rows=rows,
+                        box=((-config.a_bar,) * m, (config.a_bar,) * m))
 
 
-def centralized_step(states, targets, config: ControllerConfig, warm_start=None) -> StepResult:
-    """One tick of the centralized filter over every vehicle's acceleration."""
-    frame = tick_frame(states, config)
-    problem, omegas, _ = build_centralized_qp(states, targets, config, frame)
-    sol = qp.solve(problem, warm_start)
+def _filtered_step(states, frame, free, omegas, target, config, warm_start) -> StepResult:
+    """Solve build_qp's program; if it is infeasible, brake every free vehicle
+    as hard as its speed row allows.  Slip rates are omegas either way."""
+    sol = qp.solve(build_qp(states, frame, free, omegas, target, config), warm_start)
     if sol.status == "optimal":
-        inputs = tuple(map(ControlInput, omegas, sol.u))
+        inputs = tuple(ControlInput(omegas[v], a) for v, a in zip(free, sol.u))
         return StepResult(inputs, True, sol.active_set, frame)
-    # Infeasible program: brake to a stop, slip rates per the saturated nominal.
-    inputs = tuple(
-        ControlInput(w, _max_braking(st, config)) for w, st in zip(omegas, states)
-    )
+    inputs = tuple(ControlInput(omegas[v], _max_braking(states[v], config)) for v in free)
     return StepResult(inputs, False, (), frame)
 
 
-def build_decentralized_qp(ego_index, states, target_ego, config: ControllerConfig,
-                           frame: TickFrame):
-    """Single-variable QP for one ego; returns (problem, omega_star, a0)."""
-    ego = states[ego_index]
-    w0, a0 = nominal_control(ego, target_ego, config.lqr_gain, config.vehicle, config.v_eps)
-    w_star = saturate_omega(w0, config.omega_bar)
-    _, phi, gam = h_speed(ego, config.v_max, config.speed_alpha)
-    rows = [(((0, gam),), -phi)]
-    planar = frame.planar
-    # The ego knows the neighbors' states but not their inputs: the row
-    # keeps both drift terms (neighbor inputs taken as zero) and only the
-    # ego's acceleration coefficient.  Lexicographic pair order lists the
-    # ego's pairs in ascending order of the neighbor.
-    for i, j, terms in frame.pairs:
-        if ego_index in (i, j):
-            other, sign = (j, 1) if i == ego_index else (i, -1)
-            phi, gamma, _ = pair_row(terms, planar[ego_index], planar[other], w_star, 0.0, sign)
-            rows.append((((0, gamma),), -(phi - config.decentral_eps)))
-    problem = qp.QpProblem(dim=1, target=[a0], rows=rows,
-                           box=((-config.a_bar,), (config.a_bar,)))
-    return problem, w_star, a0
+def centralized_step(states, targets, config: ControllerConfig, warm_start=None) -> StepResult:
+    """One tick of the centralized filter: every vehicle's acceleration is free."""
+    frame = tick_frame(states, config)
+    omegas, accels = _nominals(states, targets, config)
+    return _filtered_step(states, frame, range(len(states)), omegas, accels, config, warm_start)
 
 
 def decentralized_step(
     ego_index, states, target_ego, config: ControllerConfig, warm_start=None, frame=None
 ) -> StepResult:
-    """One tick of the decentralized filter for a single ego vehicle; frame is
-    the tick's TickFrame from an earlier ego's StepResult, or None to build it."""
+    """One tick of the decentralized filter for a single ego vehicle, the only
+    free one; frame is the tick's TickFrame from an earlier ego's StepResult,
+    or None to build it."""
     if frame is None:
         frame = tick_frame(states, config)
-    problem, w_star, _ = build_decentralized_qp(ego_index, states, target_ego, config, frame)
-    sol = qp.solve(problem, warm_start)
-    if sol.status == "optimal":
-        return StepResult((ControlInput(w_star, sol.u[0]),), True, sol.active_set, frame)
-    inputs = (ControlInput(w_star, _max_braking(states[ego_index], config)),)
-    return StepResult(inputs, False, (), frame)
+    w0, a0 = nominal_control(states[ego_index], target_ego, config.lqr_gain, config.vehicle,
+                             config.v_eps)
+    # The ego knows its neighbors' states but not their inputs: they are held at 0.
+    omegas = [0.0] * len(states)
+    omegas[ego_index] = saturate_omega(w0, config.omega_bar)
+    return _filtered_step(states, frame, (ego_index,), omegas, [a0], config, warm_start)

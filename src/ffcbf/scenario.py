@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -89,6 +89,10 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ScenarioError(f"{f.name} must be finite, got {value}")
         if self.scenario not in ("all_straight", "one_left_turn"):
             raise ScenarioError(f"unknown scenario {self.scenario!r}")
         if not 1 <= self.num_vehicles <= 4:

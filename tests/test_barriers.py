@@ -56,7 +56,7 @@ def pair_eval(kind, a, b, wa, wb, alpha_gain=10.0, hocbf_gain=HOCBF, zero_margin
     constraint_row terms folded by pair_row."""
     pa, pb = planar(a), planar(b)
     terms = constraint_row(kind, pa, pb, alpha_gain, rff, hocbf_gain, zero_margin)
-    return PairRow(terms.value, *pair_row(terms, pa, pb, wa, wb, 1))
+    return PairRow(terms.value, *pair_row(terms, pa, pb, wa, wb))
 
 
 def pair_tau_hat(a, b):
@@ -341,10 +341,9 @@ class TestConstraintRow:
             ba = constraint_row(kind, pb, pa, self.ALPHA, RFF, HOCBF, MARGIN)
             # swapping the pair negates c exactly and keeps every other term
             assert ba == ab._replace(cx=-ab.cx, cy=-ab.cy)
-            # so b's row from a's terms is bit for bit the row computed for (b, a)
-            sw = pair_row(ab, pb, pa, wb, wa, -1)
-            assert sw == pair_row(ba, pb, pa, wb, wa, 1)
-            phi, gamma_a, gamma_b = pair_row(ab, pa, pb, wa, wb, 1)
+            # so the row of (b, a) swaps the gammas of (a, b) bit for bit
+            sw = pair_row(ba, pb, pa, wb, wa)
+            phi, gamma_a, gamma_b = pair_row(ab, pa, pb, wa, wb)
             assert sw[1:] == (gamma_b, gamma_a)
             assert sw[0] == pytest.approx(phi, rel=1e-9, abs=1e-9)
 

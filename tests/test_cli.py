@@ -148,6 +148,12 @@ class TestCmdRun:
         ({"controller": {"v_eps": 0.0}}, "speed_alpha, hocbf_gain and v_eps"),
         ({"controller": {"zero_margin": -0.05}}, "zero_margin and decentral_eps"),
         ({"controller": {"decentral_eps": -1e-9}}, "zero_margin and decentral_eps"),
+        # 1e400 reads as inf: each of these once crashed mid-trial in a row or the box
+        ({"controller": {"a_bar": 1e400}}, "a_bar must be finite"),
+        ({"controller": {"v_max": 1e400}}, "v_max must be finite"),
+        ({"dt": 1e400}, "dt must be finite"),
+        ({"controller": {"rff": {"ff": {"tau_bar": 1e400}}}}, "invalid FfParams"),
+        ({"controller": {"rff": {"k0_scale": 1e400}}}, "invalid RffParams"),
     ])
     def test_bad_config_value_is_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"

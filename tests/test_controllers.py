@@ -9,12 +9,15 @@ import scipy.linalg
 
 from test_barriers import pair_eval
 
-from ffcbf import scenario
-from ffcbf.barriers import FfParams, RffParams, h0
+from ffcbf import qp, scenario
+from ffcbf.barriers import (
+    FfParams, RffParams, _vehicle_planar, constraint_row, h0, h_speed, pair_row,
+)
 from ffcbf.controllers import (
     ControllerConfig,
     NominalTarget,
-    build_centralized_qp,
+    _nominals,
+    build_qp,
     centralized_step,
     decentralized_step,
     lqr_gain,
@@ -22,7 +25,7 @@ from ffcbf.controllers import (
     saturate_omega,
     tick_frame,
 )
-from ffcbf.dynamics import VehicleParams, VehicleState, step
+from ffcbf.dynamics import ControlInput, VehicleParams, VehicleState, step
 
 VEH = VehicleParams()
 FF = FfParams(R=1.25)
@@ -38,6 +41,12 @@ def target_for(state, speed=None):
     return NominalTarget(np.array([
         state.x, state.y, v * math.cos(state.psi), v * math.sin(state.psi),
     ]))
+
+
+def central_qp(states, targets, cfg):
+    """The problem centralized_step solves: every vehicle free at _nominals."""
+    omegas, accels = _nominals(states, targets, cfg)
+    return build_qp(states, tick_frame(states, cfg), range(len(states)), omegas, accels, cfg)
 
 
 def dense_rows(problem):
@@ -163,10 +172,9 @@ class TestCentralizedStep:
         cfg = make_config()
         sts = [VehicleState(0, 0, 0, 0, 5.0), VehicleState(500, 500, 0, 0, 5.0)]
         tgts = [target_for(s, speed=9.0) for s in sts]  # demand hard acceleration
-        _, _, accels = build_centralized_qp(sts, tgts, cfg, tick_frame(sts, cfg))
         res = centralized_step(sts, tgts, cfg)
         assert res.feasible
-        for u, a0 in zip(res.inputs, accels):
+        for u, a0 in zip(res.inputs, central_qp(sts, tgts, cfg).target):
             assert u.a == pytest.approx(min(max(a0, -cfg.a_bar), cfg.a_bar), abs=1e-9)
 
     def test_head_on_rows_hold_after_filtering(self):
@@ -174,7 +182,7 @@ class TestCentralizedStep:
         a = VehicleState(-12.0, -1.3, 0.0, 0.0, 8.0)
         b = VehicleState(12.0, 1.3, math.pi, 0.0, 8.0)
         tgts = [target_for(a), target_for(b)]
-        problem, omegas, _ = build_centralized_qp([a, b], tgts, cfg, tick_frame([a, b], cfg))
+        problem = central_qp([a, b], tgts, cfg)
         res = centralized_step([a, b], tgts, cfg)
         assert res.feasible
         u = np.array([inp.a for inp in res.inputs])
@@ -189,8 +197,8 @@ class TestCentralizedStep:
             VehicleState(40, 1.3, math.pi, 0, 6.0),
         ]
         tgts = [target_for(s) for s in sts]
-        problem, _, accels = build_centralized_qp(sts, tgts, cfg, tick_frame(sts, cfg))
-        clamped = np.clip(accels, -cfg.a_bar, cfg.a_bar)
+        problem = central_qp(sts, tgts, cfg)
+        clamped = np.clip(problem.target, -cfg.a_bar, cfg.a_bar)
         assert all(np.dot(c, clamped) >= lb for c, lb in dense_rows(problem))
         res = centralized_step(sts, tgts, cfg)
         for u, a0 in zip(res.inputs, clamped):
@@ -332,3 +340,102 @@ class TestDecentralizedStep:
             assert hdot >= -2 * cfg.alpha_gain * full.value - 1e-4 * (1 + abs(full.value))
             states = [step(states[i], inputs[i], VEH, dt) for i in range(2)]
         assert h0(states[0], states[1], FF.R) > 0
+
+
+class TestFallback:
+    """An infeasible program brakes every free vehicle as hard as its speed
+    row allows, at the pattern's nominal slip rate."""
+
+    # two crawling vehicles 0.2 m apart, well inside 2R: no box input holds
+    # their pair row, and at these speeds the speed rows bind before a_bar
+    STATES = [VehicleState(0.0, 0.0, 0.0, 0.0, 0.1),
+              VehicleState(0.2, 0.05, math.pi, 0.0, 0.15)]
+    TARGETS = [NominalTarget([s.x + 1.0, s.y + 0.5, 1.0, 0.3]) for s in STATES]
+
+    def braking(self, state, cfg):
+        _, phi, gamma = h_speed(state, cfg.v_max, cfg.speed_alpha)
+        assert gamma > 0.0
+        return max(-cfg.a_bar, -phi / gamma)
+
+    @pytest.mark.parametrize("kind", ["zero", "ff", "rff"])
+    def test_centralized(self, kind):
+        cfg = make_config(kind)
+        res = centralized_step(self.STATES, self.TARGETS, cfg)
+        assert not res.feasible and res.active_set == ()
+        omegas, _ = _nominals(self.STATES, self.TARGETS, cfg)
+        assert res.inputs == tuple(ControlInput(w, self.braking(st, cfg))
+                                   for w, st in zip(omegas, self.STATES))
+        assert all(-cfg.a_bar < u.a < 0.0 for u in res.inputs)
+
+    @pytest.mark.parametrize("kind", ["zero", "ff", "rff"])
+    def test_decentralized(self, kind):
+        cfg = make_config(kind, mode="decentralized")
+        for ego, (st, tgt) in enumerate(zip(self.STATES, self.TARGETS)):
+            res = decentralized_step(ego, self.STATES, tgt, cfg)
+            assert not res.feasible and res.active_set == ()
+            w0, _ = nominal_control(st, tgt, cfg.lqr_gain, VEH, cfg.v_eps)
+            assert res.inputs == (ControlInput(saturate_omega(w0, cfg.omega_bar),
+                                               self.braking(st, cfg)),)
+
+
+class TestInformationPattern:
+    """A decentralized ego's program is the all-free program restricted to the
+    ego's column, and its pair rows are those of the ego-first pair."""
+
+    KINDS = ["zero", "ff", "rff"]
+
+    def draws(self, seed):
+        """30 random 3- or 4-vehicle states."""
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            n = int(rng.integers(3, 5))
+            yield rng, [VehicleState(*rng.uniform(-15, 15, 2), rng.uniform(-math.pi, math.pi),
+                                     rng.uniform(-0.4, 0.4), rng.uniform(0, 10))
+                        for _ in range(n)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_ego_rows_restrict_the_all_free_rows(self, kind):
+        cfg = make_config(kind, mode="decentralized", decentral_eps=0.0)
+        for rng, states in self.draws(17):
+            n = len(states)
+            frame = tick_frame(states, cfg)
+            for e in range(n):
+                omegas = [0.0] * n
+                omegas[e] = rng.uniform(-1, 1)
+                ego = build_qp(states, frame, [e], omegas, [1.0], cfg)
+                full = build_qp(states, frame, range(n), omegas, [1.0] * n, cfg)
+                restricted = []
+                for pairs, lb in full.rows:
+                    mine = tuple((0, c) for v, c in pairs if v == e)
+                    if mine:
+                        restricted.append((mine, lb))
+                assert ego.dim == 1 and ego.rows == tuple(restricted)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_step_poses_the_ego_first_rows(self, kind, monkeypatch):
+        cfg = make_config(kind, mode="decentralized")
+        posed = []
+        solve = qp.solve
+
+        def recording_solve(problem, warm_start):
+            posed.append(problem)
+            return solve(problem, warm_start)
+
+        monkeypatch.setattr(qp, "solve", recording_solve)
+        for rng, states in self.draws(19):
+            planar = [_vehicle_planar(st, VEH.lr) for st in states]
+            for e, ego in enumerate(states):
+                tgt = target_for(ego, speed=rng.uniform(0, 12))
+                decentralized_step(e, states, tgt, cfg)
+                w0, a0 = nominal_control(ego, tgt, cfg.lqr_gain, VEH, cfg.v_eps)
+                w_e = saturate_omega(w0, cfg.omega_bar)
+                _, phi, gam = h_speed(ego, cfg.v_max, cfg.speed_alpha)
+                rows = [(((0, gam),), -phi)]
+                for o in range(len(states)):
+                    if o != e:  # the neighbour's input is held at zero
+                        terms = constraint_row(kind, planar[e], planar[o], cfg.alpha_gain,
+                                               cfg.rff, cfg.hocbf_gain, cfg.zero_margin)
+                        phi, gamma_e, _ = pair_row(terms, planar[e], planar[o], w_e, 0.0)
+                        rows.append((((0, gamma_e),), -(phi - cfg.decentral_eps)))
+                problem = posed.pop()
+                assert problem.target == (a0,) and problem.rows == tuple(rows)

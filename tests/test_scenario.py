@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ffcbf.barriers import FfParams, RffParams, h0, h_ff, h_rff
-from ffcbf.controllers import ControllerConfig, NominalTarget, build_centralized_qp, tick_frame
+from ffcbf.controllers import ControllerConfig, NominalTarget, _nominals, build_qp, tick_frame
 from ffcbf.dynamics import VehicleState, planar_velocity
 from ffcbf.scenario import (
     BatchSummary,
@@ -319,10 +319,12 @@ class TestSafetyRadius:
         base, wide = self.configs()
         states = randomize_initial(base, trial_rng(base, 0))
         targets = [NominalTarget(np.array([s.x, s.y, *planar_velocity(s)])) for s in states]
-        rows = [build_centralized_qp(states, targets, cfg.controller,
-                                     tick_frame(states, cfg.controller))[0].rows
-                for cfg in (base, wide)]
         n = base.num_vehicles
+        rows = []
+        for cfg in (base, wide):
+            c = cfg.controller
+            omegas, accels = _nominals(states, targets, c)
+            rows.append(build_qp(states, tick_frame(states, c), range(n), omegas, accels, c).rows)
         shift = base.controller.alpha_gain * 4.0 * (self.R ** 2 - 1.25 ** 2)
         assert rows[1][:n] == rows[0][:n]  # speed rows
         for (c0, lb0), (c1, lb1) in zip(rows[0][n:], rows[1][n:]):
