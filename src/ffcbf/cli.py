@@ -158,10 +158,6 @@ def write_manifest(path, config, n_trials, started, finished, outputs) -> RunMan
 # trajectory logs and replay
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def trajectory_header(n_vehicles: int, pairs) -> list:
     cols = ["t"]
     for i in range(n_vehicles):
@@ -172,19 +168,26 @@ def trajectory_header(n_vehicles: int, pairs) -> list:
     return cols
 
 
-def write_trajectory_csv(path: str, log: TrajectoryLog) -> None:
-    n_vehicles = log.states.shape[1]
-    lines = [",".join(trajectory_header(n_vehicles, log.pairs))]
-    for k in range(log.t.shape[0]):
-        row = [_fmt(log.t[k])]
-        for i in range(n_vehicles):
-            row += [_fmt(v) for v in log.states[k, i]]
-            row += [_fmt(v) for v in log.inputs[k, i]]
-        for p in range(len(log.pairs)):
-            row += [_fmt(log.barrier[k, p]), _fmt(log.h0[k, p])]
-        row.append("1" if log.feasible[k] else "0")
-        lines.append(",".join(row))
+def _trajectory_table(log: TrajectoryLog) -> np.ndarray:
+    """One row per sample, in trajectory_header's column order."""
+    n, n_vehicles = log.states.shape[:2]
+    return np.concatenate([
+        log.t[:, None],
+        np.concatenate([log.states, log.inputs], axis=2).reshape(n, 7 * n_vehicles),
+        np.stack([log.barrier, log.h0], axis=2).reshape(n, 2 * len(log.pairs)),
+        log.feasible[:, None],
+    ], axis=1)
+
+
+def _write_csv(path: str, header: list, table: np.ndarray) -> None:
+    lines = [",".join(header)]
+    lines += [",".join([f"{x:.9g}" for x in row]) for row in table.tolist()]
     _write_text(path, "\n".join(lines) + "\n")
+
+
+def write_trajectory_csv(path: str, log: TrajectoryLog) -> None:
+    header = trajectory_header(log.states.shape[1], log.pairs)
+    _write_csv(path, header, _trajectory_table(log))
 
 
 def read_trajectory_csv(path: str) -> TrajectoryLog:
@@ -212,42 +215,29 @@ def read_trajectory_csv(path: str) -> TrajectoryLog:
             rows.append([float(x) for x in values])
         except ValueError as exc:
             raise ScenarioError(f"trajectory log {path} line {k}: {exc}") from None
+    # the inverse of _trajectory_table
     data = np.array(rows)
-    n_pairs = len(pairs)
-    t = data[:, 0]
-    blk = data[:, 1:1 + 7 * n_vehicles].reshape(-1, n_vehicles, 7)
-    pair_blk = data[:, 1 + 7 * n_vehicles:1 + 7 * n_vehicles + 2 * n_pairs]
+    split = 1 + 7 * n_vehicles
+    vehicles = data[:, 1:split].reshape(len(data), n_vehicles, 7)
+    pair_terms = data[:, split:-1].reshape(len(data), len(pairs), 2)
     return TrajectoryLog(
-        t=t,
-        states=blk[:, :, :5],
-        inputs=blk[:, :, 5:7],
-        barrier=pair_blk[:, 0::2],
-        h0=pair_blk[:, 1::2],
+        t=data[:, 0],
+        states=vehicles[:, :, :5],
+        inputs=vehicles[:, :, 5:],
+        barrier=pair_terms[:, :, 0],
+        h0=pair_terms[:, :, 1],
         feasible=data[:, -1] > 0.5,
         pairs=pairs,
     )
 
 
 def write_replay_csv(path: str, log: TrajectoryLog) -> None:
-    """Plot-ready columns: per-vehicle x, y, psi, v, omega, a; per-pair
-    barrier (active kind) and physical-distance series."""
-    n_vehicles = log.states.shape[1]
-    cols = ["t"]
-    for i in range(n_vehicles):
-        cols += [f"v{i}_{f}" for f in ("x", "y", "psi", "v", "omega", "a")]
-    for i, j in log.pairs:
-        cols += [f"pair{i}{j}_H", f"pair{i}{j}_h0"]
-    lines = [",".join(cols)]
-    for k in range(log.t.shape[0]):
-        row = [_fmt(log.t[k])]
-        for i in range(n_vehicles):
-            x, y, psi, _, v = log.states[k, i]
-            omega, a = log.inputs[k, i]
-            row += [_fmt(x), _fmt(y), _fmt(psi), _fmt(v), _fmt(omega), _fmt(a)]
-        for p in range(len(log.pairs)):
-            row += [_fmt(log.barrier[k, p]), _fmt(log.h0[k, p])]
-        lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+    """Plot-ready columns: the trial log's without the slip angles and the
+    feasibility flag, with each pair's barrier (active kind) as _H."""
+    header = trajectory_header(log.states.shape[1], log.pairs)
+    keep = [k for k, c in enumerate(header) if not c.endswith("_beta") and c != "feasible"]
+    _write_csv(path, [header[k].replace("_hb", "_H") for k in keep],
+               _trajectory_table(log)[:, keep])
 
 
 # ---------------------------------------------------------------------------

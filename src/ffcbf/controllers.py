@@ -13,8 +13,8 @@ of an information pattern's free vehicles through one strictly convex QP,
 with box rows |a| <= a_bar, a speed-limit row per free vehicle and a
 pairwise barrier row per unordered pair with a free vehicle (every slip
 rate folded into the row drift).  A held vehicle's input is taken as zero:
-its rows keep both drift terms but only the free gamma, and a small epsilon
-is subtracted from their left-hand side.  Centralized mode frees every
+its rows keep both drift terms but only the free gamma, so each is the
+all-free row restricted to the free column.  Centralized mode frees every
 vehicle in one program per tick; decentralized mode solves one program per
 ego, which knows its neighbours' states but not their inputs.
 
@@ -114,7 +114,6 @@ class ControllerConfig:
     beta_max: float = 1.45                # slip-angle envelope guard (rad), < pi/2
     omega_v_ref: float = 2.0              # speed (m/s) giving full slip-rate authority
     v_eps: float = 1e-3                   # S-matrix singular branch threshold (m/s)
-    decentral_eps: float = 1e-9           # subtracted from decentralized pair rows
     vehicle: VehicleParams = field(default_factory=VehicleParams)
     rff: RffParams = field(default_factory=RffParams)
     # derived from the three LQR weights, so it is neither set nor compared
@@ -135,8 +134,8 @@ class ControllerConfig:
             raise ValueError("omega_v_ref must be positive")
         if not (self.speed_alpha > 0 and self.hocbf_gain > 0 and self.v_eps > 0):
             raise ValueError("speed_alpha, hocbf_gain and v_eps must be positive")
-        if not (self.zero_margin >= 0 and self.decentral_eps >= 0):
-            raise ValueError("zero_margin and decentral_eps must be nonnegative")
+        if not self.zero_margin >= 0:
+            raise ValueError("zero_margin must be nonnegative")
         if not 0.0 < self.beta_max < math.pi / 2:
             raise ValueError("beta_max must lie in (0, pi/2)")
         self.lqr_gain = lqr_gain(self.lqr_q_pos, self.lqr_q_vel, self.lqr_r)
@@ -263,9 +262,9 @@ def build_qp(states, frame: TickFrame, free, omegas, target, config: ControllerC
             continue
         phi, gamma_i, gamma_j = pair_row(terms, planar[i], planar[j], omegas[i], omegas[j])
         if cj is None:
-            rows.append((((ci, gamma_i),), -(phi - config.decentral_eps)))
+            rows.append((((ci, gamma_i),), -phi))
         elif ci is None:
-            rows.append((((cj, gamma_j),), -(phi - config.decentral_eps)))
+            rows.append((((cj, gamma_j),), -phi))
         else:
             rows.append((((ci, gamma_i), (cj, gamma_j)), -phi))
     m = len(free)

@@ -75,8 +75,8 @@ class VehicleParams:
     lr: float = 1.0   # c.g. to rear axle (m)
 
     def __post_init__(self) -> None:
-        if not self.lr > 0.0:
-            raise ValueError(f"lr must be positive, got {self}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self}")
 
 
 @dataclass(frozen=True)

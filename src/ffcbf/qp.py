@@ -30,8 +30,7 @@ The first iterate is the box-clipped target with its clipped bounds active
 answer, the common control tick.  A warm start replaces it with the
 projection onto the warm rows, skipping rows in the span of those kept and
 dropping the most negative multiplier until none is negative: a poor warm
-start costs steps, never correctness.  No control law reads the KKT
-residual of an iterated answer, so solve() leaves it to the first read.
+start costs steps, never correctness.
 
 Problems here are tiny (a handful of variables, tens of rows) and one is
 built and solved on every control tick, where the fixed cost of a numpy call
@@ -57,8 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from operator import add, le, mul, sub
 
@@ -282,10 +280,6 @@ class QpSolution:
     the radius the module docstring gives meets them all), or the first
     degenerate row with the largest bound when that decided it.  An
     iteration-limited solve certifies nothing and leaves it empty.
-
-    kkt_residual, the max KKT violation at an optimum (nan otherwise), is a
-    diagnostic computed on first read and cached; repr and == leave it out
-    and never compute it.
     """
 
     status: str                      # "optimal" | "infeasible"
@@ -293,12 +287,6 @@ class QpSolution:
     active_set: tuple = ()
     iterations: int = 0
     iteration_limited: bool = False
-    # The residual as a float, or the call that computes it on first read.
-    _kkt: float | Callable[[], float] = field(default=math.nan, repr=False, compare=False)
-
-    @functools.cached_property
-    def kkt_residual(self) -> float:
-        return self._kkt() if callable(self._kkt) else self._kkt
 
 
 def _residuals(problem: QpProblem, u: list) -> list:
@@ -390,24 +378,6 @@ def _project(problem: QpProblem, active: list, rows: list, basis: list, R: list)
     return x, lam
 
 
-def _kkt_residual(problem: QpProblem, u: list, active, lam: list, res: list) -> float:
-    """Max KKT violation (stationarity, primal, dual, complementarity) at u,
-    with multipliers lam on the internal rows active; res is
-    _residuals(problem, u)."""
-    primal = max(0.0, -min(res)) if res else 0.0
-    if active:
-        rows = [problem._vector(r) for r in active]
-        dot_k = _kernels(len(active))[1]
-        step = [dot_k(col, lam) for col in zip(*rows)]
-        dual = max(0.0, -min(lam))
-        comp = max(abs(lk * res[r]) for lk, r in zip(lam, active))
-    else:
-        step = [0.0] * problem.dim
-        dual = comp = 0.0
-    stationarity = max(abs(ui - u0i - s) for ui, u0i, s in zip(u, problem.target, step))
-    return max(stationarity, primal, dual, comp)
-
-
 def solve(problem: QpProblem, warm_start=None) -> QpSolution:
     """Solve the QP; never raises on infeasibility (reported in the status)."""
     G, b, tol = problem._G, problem._b, problem._tol
@@ -443,10 +413,7 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
     # The clipped target meets every box row, so only the user rows are checked.
     res = list(map(sub, map(dot, G, repeat(x)), b))
     if min(map(add, res, tol), default=0.0) >= 0.0:
-        return QpSolution(
-            status="optimal", u=tuple(x), active_set=tuple(active),
-            _kkt=max(0.0, -min(res)) if res else 0.0,
-        )
+        return QpSolution(status="optimal", u=tuple(x), active_set=tuple(active))
 
     warm = [int(r) for r in warm_start if 0 <= int(r) < m] if warm_start else []
     # The active rows stay factored as G_A^T = Q R: rows[j] = sum_i R[j][i]
@@ -525,13 +492,5 @@ def solve(problem: QpProblem, warm_start=None) -> QpSolution:
         res = _residuals(problem, x)
         exact = False
 
-    order = sorted(range(len(active)), key=active.__getitem__)
-    active = tuple(active[k] for k in order)
-    lam = [lam[k] for k in order]
-    return QpSolution(
-        status="optimal",
-        u=tuple(x),
-        active_set=active,
-        _kkt=functools.partial(_kkt_residual, problem, x, active, lam, res),
-        iterations=iterations,
-    )
+    return QpSolution(status="optimal", u=tuple(x), active_set=tuple(sorted(active)),
+                      iterations=iterations)

@@ -89,7 +89,7 @@ class TestConfigDocuments:
     def test_round_trip_every_leaf(self):
         base = ScenarioConfig()
         leaves = list(self.leaves(base))
-        assert len(leaves) == 40
+        assert len(leaves) == 39
         for path, default in leaves:
             value = self.OTHER[path[-1]] if path[-1] in self.OTHER else 0.8 * default
             assert value != default, path
@@ -146,14 +146,17 @@ class TestCmdRun:
         ({"controller": {"speed_alpha": 0.0}}, "speed_alpha, hocbf_gain and v_eps"),
         ({"controller": {"hocbf_gain": -2.1}}, "speed_alpha, hocbf_gain and v_eps"),
         ({"controller": {"v_eps": 0.0}}, "speed_alpha, hocbf_gain and v_eps"),
-        ({"controller": {"zero_margin": -0.05}}, "zero_margin and decentral_eps"),
-        ({"controller": {"decentral_eps": -1e-9}}, "zero_margin and decentral_eps"),
+        ({"controller": {"zero_margin": -0.05}}, "zero_margin must be nonnegative"),
+        # a config written before decentral_eps was deleted: an unknown key, not a traceback
+        ({"controller": {"decentral_eps": 1e-9}}, "unknown config.controller keys: ['decentral_eps']"),
         # 1e400 reads as inf: each of these once crashed mid-trial in a row or the box
         ({"controller": {"a_bar": 1e400}}, "a_bar must be finite"),
         ({"controller": {"v_max": 1e400}}, "v_max must be finite"),
         ({"dt": 1e400}, "dt must be finite"),
         ({"controller": {"rff": {"ff": {"tau_bar": 1e400}}}}, "invalid FfParams"),
         ({"controller": {"rff": {"k0_scale": 1e400}}}, "invalid RffParams"),
+        # this one ran, with psidot = 0 on every tick
+        ({"controller": {"vehicle": {"lr": 1e400}}}, "lr must be positive and finite"),
     ])
     def test_bad_config_value_is_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"

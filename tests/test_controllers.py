@@ -332,7 +332,7 @@ class TestDecentralizedStep:
                                       cfg.alpha_gain, rff=cfg.rff))
             # each ego row holds, so their sum does too
             for i in range(2):
-                assert rows[i].phi - cfg.decentral_eps + rows[i].gamma_i * inputs[i].a >= -1e-6
+                assert rows[i].phi + rows[i].gamma_i * inputs[i].a >= -1e-6
             full = pair_eval("ff", states[0], states[1], inputs[0].omega, inputs[1].omega,
                              cfg.alpha_gain, rff=cfg.rff)
             hdot = (full.phi - cfg.alpha_gain * full.value
@@ -395,7 +395,7 @@ class TestInformationPattern:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_ego_rows_restrict_the_all_free_rows(self, kind):
-        cfg = make_config(kind, mode="decentralized", decentral_eps=0.0)
+        cfg = make_config(kind, mode="decentralized")
         for rng, states in self.draws(17):
             n = len(states)
             frame = tick_frame(states, cfg)
@@ -436,6 +436,6 @@ class TestInformationPattern:
                         terms = constraint_row(kind, planar[e], planar[o], cfg.alpha_gain,
                                                cfg.rff, cfg.hocbf_gain, cfg.zero_margin)
                         phi, gamma_e, _ = pair_row(terms, planar[e], planar[o], w_e, 0.0)
-                        rows.append((((0, gamma_e),), -(phi - cfg.decentral_eps)))
+                        rows.append((((0, gamma_e),), -phi))
                 problem = posed.pop()
                 assert problem.target == (a0,) and problem.rows == tuple(rows)

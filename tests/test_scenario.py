@@ -441,7 +441,7 @@ DECENTRAL_SEED0_OUTCOMES = {
         (("deadlock",), None, 0.064387443916476),
     ],
     ("all_straight", "ff"): [
-        (("always_feasible", "timeout"), None, 0.3046723121685604),
+        (("always_feasible", "timeout"), None, 0.3049137484539326),
         (("success", "always_feasible"), 6.7599999999999, 1.0412873749884728),
     ],
     ("all_straight", "rff"): [
@@ -561,7 +561,7 @@ class TestConfigValidation:
         (dict(v_eps=0.0), "v_eps"),
         (dict(v_eps=-1e-3), "v_eps"),
         (dict(zero_margin=-0.05), "zero_margin"),
-        (dict(decentral_eps=-1e-9), "decentral_eps"),
+        (dict(zero_margin=-1e-9), "zero_margin"),
         (dict(zero_margin=float("nan")), "zero_margin"),
     ])
     def test_filter_gains_in_range(self, kw, message):
@@ -569,8 +569,8 @@ class TestConfigValidation:
             ControllerConfig(**kw)
 
     def test_boundary_values_accepted(self):
-        # zero is a valid pad and epsilon; the smallest positive values pass
+        # zero is a valid pad; the smallest positive values pass
         cfg = default_config(max_resamples=0, exit_lateral_tol=1e-9, stop_speed=1e-9,
                              deadlock_window=1e-9)
         assert cfg.max_resamples == 0
-        ControllerConfig(zero_margin=0.0, decentral_eps=0.0, v_eps=1e-12)
+        ControllerConfig(zero_margin=0.0, v_eps=1e-12)
