@@ -41,7 +41,6 @@ from .scenario import (
     ScenarioConfig,
     ScenarioError,
     TrialResult,
-    build_world,
     check_assumption1,
     default_config,
     randomize_initial,

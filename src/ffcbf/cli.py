@@ -13,10 +13,9 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 
@@ -26,12 +25,10 @@ from .scenario import (
     ScenarioConfig,
     ScenarioError,
     TrajectoryLog,
-    resolve_workers,
     run_batch,
 )
 
 __all__ = [
-    "RunManifest",
     "config_to_dict",
     "config_from_dict",
     "read_config",
@@ -54,13 +51,8 @@ _SCENARIO_FLAGS = {"straight": "all_straight", "left-turn": "one_left_turn"}
 # ---------------------------------------------------------------------------
 
 def config_to_dict(config) -> dict:
-    """The config dataclass tree as nested dicts, one key per settable field."""
-    data = {}
-    for f in fields(config):
-        if f.init:
-            value = getattr(config, f.name)
-            data[f.name] = config_to_dict(value) if is_dataclass(value) else value
-    return data
+    """The config dataclass tree as nested dicts, one key per field."""
+    return asdict(config)
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -73,7 +65,7 @@ def _from_dict(cls, data, section: str):
     if not isinstance(data, dict):
         raise ScenarioError(f"{section} must be a JSON object, got {data!r}")
     base = cls()
-    unknown = set(data) - {f.name for f in fields(cls) if f.init}
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ScenarioError(f"unknown {section} keys: {sorted(unknown)}")
     kwargs = {}
@@ -129,29 +121,16 @@ def read_summary(path: str) -> dict:
         return json.load(fh)
 
 
-@dataclass
-class RunManifest:
+def write_manifest(path, config, n_trials, started, finished, outputs) -> None:
     """Everything needed to reproduce a batch bit-for-bit."""
-
-    config: dict
-    version: str
-    started: str
-    finished: str
-    n_trials: int
-    outputs: dict
-
-
-def write_manifest(path, config, n_trials, started, finished, outputs) -> RunManifest:
-    manifest = RunManifest(
-        config=config_to_dict(config),
-        version=__version__,
-        started=started,
-        finished=finished,
-        n_trials=n_trials,
-        outputs=outputs,
-    )
-    _write_text(path, _canonical_json(asdict(manifest)))
-    return manifest
+    _write_text(path, _canonical_json({
+        "config": config_to_dict(config),
+        "version": __version__,
+        "started": started,
+        "finished": finished,
+        "n_trials": n_trials,
+        "outputs": outputs,
+    }))
 
 
 # ---------------------------------------------------------------------------

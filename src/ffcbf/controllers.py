@@ -28,8 +28,9 @@ every tick, so qp takes its bounds and tolerances from its box cache.  Every
 per-tick vector is plain floats: the target q*, the gain, the QP's target
 and its answer.
 
-An infeasible QP brakes every free vehicle as hard as its speed row allows
-and reports feasible=False.
+An infeasible QP brakes every free vehicle as hard as its speed row allows.
+The StepResult keeps the QP's solution either way, so an infeasible tick
+carries the rows of its Farkas certificate in solution.active_set.
 """
 
 from __future__ import annotations
@@ -95,9 +96,14 @@ def lqr_gain(q_pos: float, q_vel: float, r: float) -> tuple:
     return (k1, 0.0, k2, 0.0), (0.0, k1, 0.0, k2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerConfig:
-    """Tunables of the safety-filtered controller (defaults per the benchmark)."""
+    """Tunables of the safety-filtered controller (defaults per the benchmark).
+
+    Frozen and validated at construction; dataclasses.replace makes a
+    changed copy.  lqr_gain, the gain of the three LQR weights, is derived
+    at construction too and is not a field.
+    """
 
     cbf_kind: str = "rff"                 # zero | ff | rff
     mode: str = "centralized"             # centralized | decentralized
@@ -116,12 +122,10 @@ class ControllerConfig:
     v_eps: float = 1e-3                   # S-matrix singular branch threshold (m/s)
     vehicle: VehicleParams = field(default_factory=VehicleParams)
     rff: RffParams = field(default_factory=RffParams)
-    # derived from the three LQR weights, so it is neither set nor compared
-    lqr_gain: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name, None)
+            value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.cbf_kind not in ("zero", "ff", "rff"):
@@ -138,7 +142,10 @@ class ControllerConfig:
             raise ValueError("zero_margin must be nonnegative")
         if not 0.0 < self.beta_max < math.pi / 2:
             raise ValueError("beta_max must lie in (0, pi/2)")
-        self.lqr_gain = lqr_gain(self.lqr_q_pos, self.lqr_q_vel, self.lqr_r)
+        # Read for every vehicle on every tick.  Not a functools.cached_property:
+        # that writes the instance __dict__, after which every other attribute
+        # read of the config takes about twice as long on CPython 3.11.
+        object.__setattr__(self, "lqr_gain", lqr_gain(self.lqr_q_pos, self.lqr_q_vel, self.lqr_r))
 
 
 def nominal_control(
@@ -197,13 +204,17 @@ def tick_frame(states, config: ControllerConfig) -> TickFrame:
 
 @dataclass(frozen=True)
 class StepResult:
-    """Filtered inputs for one tick plus feasibility, warm-start state and
-    the tick's TickFrame."""
+    """Filtered inputs for one tick, the QP's solution and the tick's
+    TickFrame.  solution.active_set is the warm start for the next tick when
+    the QP is feasible, and the Farkas certificate's rows when it is not."""
 
     inputs: tuple
-    feasible: bool
-    active_set: tuple
+    solution: qp.QpSolution
     frame: TickFrame
+
+    @property
+    def feasible(self) -> bool:
+        return self.solution.status == "optimal"
 
 
 def _nominals(states, targets, config):
@@ -277,10 +288,10 @@ def _filtered_step(states, frame, free, omegas, target, config, warm_start) -> S
     as hard as its speed row allows.  Slip rates are omegas either way."""
     sol = qp.solve(build_qp(states, frame, free, omegas, target, config), warm_start)
     if sol.status == "optimal":
-        inputs = tuple(ControlInput(omegas[v], a) for v, a in zip(free, sol.u))
-        return StepResult(inputs, True, sol.active_set, frame)
-    inputs = tuple(ControlInput(omegas[v], _max_braking(states[v], config)) for v in free)
-    return StepResult(inputs, False, (), frame)
+        accels = sol.u
+    else:
+        accels = [_max_braking(states[v], config) for v in free]
+    return StepResult(tuple(ControlInput(omegas[v], a) for v, a in zip(free, accels)), sol, frame)
 
 
 def centralized_step(states, targets, config: ControllerConfig, warm_start=None) -> StepResult:

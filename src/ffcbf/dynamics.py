@@ -98,8 +98,10 @@ def step(
     """One fixed-step RK4 integration with the input held constant over the step.
 
     Unrolled: the stage positions are never formed because the derivative
-    does not depend on (x, y), and the first stage reuses state.trig.  Each
-    remaining value is computed as z0 + h * k_i and combined as
+    does not depend on (x, y), and the first stage reuses state.trig.
+    Stages 2 and 3 share the midpoint slip angle and speed, so its tan and
+    its slip-angle check are computed once.  Each remaining value is
+    computed as z0 + h * k_i and combined as
     z0 + dt/6 * (k1 + 2 k2 + 2 k3 + k4), the textbook order.
     """
     if not dt > 0.0:
@@ -111,14 +113,15 @@ def step(
     x1, y1, tb = state.trig[:3]
     p1 = (v / lr) * tb
 
-    psi_s, beta_s, v_s = psi + half * p1, beta + half * omega, v + half * a
+    beta_s, v_s = beta + half * omega, v + half * a
     _check_beta(beta_s)
-    c, s, tb = math.cos(psi_s), math.sin(psi_s), math.tan(beta_s)
+    tb = math.tan(beta_s)
+    psi_s = psi + half * p1
+    c, s = math.cos(psi_s), math.sin(psi_s)
     x2, y2, p2 = v_s * (c - s * tb), v_s * (s + c * tb), (v_s / lr) * tb
 
-    psi_s, beta_s, v_s = psi + half * p2, beta + half * omega, v + half * a
-    _check_beta(beta_s)
-    c, s, tb = math.cos(psi_s), math.sin(psi_s), math.tan(beta_s)
+    psi_s = psi + half * p2
+    c, s = math.cos(psi_s), math.sin(psi_s)
     x3, y3, p3 = v_s * (c - s * tb), v_s * (s + c * tb), (v_s / lr) * tb
 
     psi_s, beta_s, v_s = psi + dt * p3, beta + dt * omega, v + dt * a

@@ -44,7 +44,6 @@ __all__ = [
     "TrajectoryLog",
     "BatchSummary",
     "World",
-    "build_world",
     "randomize_initial",
     "check_assumption1",
     "run_trial",
@@ -58,12 +57,14 @@ class ScenarioError(ValueError):
     """Configuration or sampling problem that prevents running a trial."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one benchmark setup (world, sampling, controller).
 
     Each parameter has one home: the speed limit is controller.v_max and the
-    safety radius is controller.rff.ff.R.
+    safety radius is controller.rff.ff.R.  The tree is frozen and validated
+    at construction, so a config that exists is a valid one;
+    dataclasses.replace makes a changed copy.
     """
 
     scenario: str = "all_straight"        # all_straight | one_left_turn
@@ -86,9 +87,6 @@ class ScenarioConfig:
     controller: ControllerConfig = field(default_factory=ControllerConfig)
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -314,14 +312,9 @@ class World:
         return along >= 0.0 and lateral <= self.config.exit_lateral_tol
 
 
-def build_world(config: ScenarioConfig) -> World:
-    config.validate()
-    return World(config)
-
-
 def randomize_initial(config: ScenarioConfig, rng: np.random.Generator):
     """Per-vehicle uniform draws d_i, s_i placed on the lane centerlines."""
-    world = build_world(config)
+    world = World(config)
     states = []
     for i in range(config.num_vehicles):
         d_i = config.d0 + rng.uniform(-config.delta_d, config.delta_d)
@@ -438,7 +431,7 @@ def run_trial(config: ScenarioConfig, trial_index: int,
             )
         states = randomize_initial(config, rng)
 
-    world = build_world(config)
+    world = World(config)
     lanes = world.lanes
     refs = []
     for i, st in enumerate(states):
@@ -459,8 +452,7 @@ def run_trial(config: ScenarioConfig, trial_index: int,
     deadlock = False
     success = False
     clock = _StopClock(dt, config.deadlock_window)
-    warm_central = None
-    warm_decentral = [None] * n
+    warm = [None] * n  # per program: one centralized, or one per ego
 
     initial_barrier_min = math.inf
 
@@ -489,21 +481,18 @@ def run_trial(config: ScenarioConfig, trial_index: int,
         # barrier values.  On the deadlock tick its inputs go unused.
         targets = [ref(t) for ref in refs]
         if centralized:
-            res = centralized_step(states, targets, ctrl, warm_central)
-            warm_central = res.active_set or None
-            inputs = res.inputs
-            feasible = res.feasible
+            steps = [centralized_step(states, targets, ctrl, warm[0])]
         else:
-            inputs = []
-            feasible = True
+            steps = []
             frame = None
             for i in vehicles:
-                res = decentralized_step(i, states, targets[i], ctrl, warm_decentral[i], frame)
-                frame = res.frame
-                warm_decentral[i] = res.active_set or None
-                inputs.append(res.inputs[0])
-                feasible = feasible and res.feasible
-        pairs_now = res.frame.pairs
+                steps.append(decentralized_step(i, states, targets[i], ctrl, warm[i], frame))
+                frame = steps[-1].frame
+        # An infeasible verdict's active set is its certificate, not a warm start.
+        warm = [s.solution.active_set if s.feasible else None for s in steps]
+        inputs = [u for s in steps for u in s.inputs]
+        feasible = all(s.feasible for s in steps)
+        pairs_now = steps[0].frame.pairs
 
         h0_now = [pt.h0 for _, _, pt in pairs_now]
         if h0_now:

@@ -292,7 +292,7 @@ class TestDecentralizedStep:
             for i in range(2):
                 res = decentralized_step(i, states, tgts[i], cfg, warm[i])
                 assert res.feasible
-                warm[i] = res.active_set or None
+                warm[i] = res.solution.active_set
                 inputs.append(res.inputs[0])
             history.append((list(states), list(inputs)))
             states = [step(states[i], inputs[i], VEH, dt) for i in range(2)]
@@ -357,12 +357,19 @@ class TestFallback:
         assert gamma > 0.0
         return max(-cfg.a_bar, -phi / gamma)
 
+    def assert_certified(self, res, free, omegas, target, cfg):
+        """The step keeps the QP's infeasible verdict and its certificate."""
+        assert not res.feasible and res.solution.status == "infeasible"
+        assert res.solution.active_set
+        problem = build_qp(self.STATES, tick_frame(self.STATES, cfg), free, omegas, target, cfg)
+        assert res.solution.active_set == qp.solve(problem).active_set
+
     @pytest.mark.parametrize("kind", ["zero", "ff", "rff"])
     def test_centralized(self, kind):
         cfg = make_config(kind)
         res = centralized_step(self.STATES, self.TARGETS, cfg)
-        assert not res.feasible and res.active_set == ()
-        omegas, _ = _nominals(self.STATES, self.TARGETS, cfg)
+        omegas, accels = _nominals(self.STATES, self.TARGETS, cfg)
+        self.assert_certified(res, range(2), omegas, accels, cfg)
         assert res.inputs == tuple(ControlInput(w, self.braking(st, cfg))
                                    for w, st in zip(omegas, self.STATES))
         assert all(-cfg.a_bar < u.a < 0.0 for u in res.inputs)
@@ -372,8 +379,10 @@ class TestFallback:
         cfg = make_config(kind, mode="decentralized")
         for ego, (st, tgt) in enumerate(zip(self.STATES, self.TARGETS)):
             res = decentralized_step(ego, self.STATES, tgt, cfg)
-            assert not res.feasible and res.active_set == ()
-            w0, _ = nominal_control(st, tgt, cfg.lqr_gain, VEH, cfg.v_eps)
+            w0, a0 = nominal_control(st, tgt, cfg.lqr_gain, VEH, cfg.v_eps)
+            omegas = [0.0, 0.0]
+            omegas[ego] = saturate_omega(w0, cfg.omega_bar)
+            self.assert_certified(res, (ego,), omegas, [a0], cfg)
             assert res.inputs == (ControlInput(saturate_omega(w0, cfg.omega_bar),
                                                self.braking(st, cfg)),)
 

@@ -1,17 +1,21 @@
 import math
 import os
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
+from ffcbf import qp
 from ffcbf.barriers import FfParams, RffParams, h0, h_ff, h_rff
-from ffcbf.controllers import ControllerConfig, NominalTarget, _nominals, build_qp, tick_frame
+from ffcbf.controllers import (
+    ControllerConfig, NominalTarget, _nominals, build_qp, lqr_gain, tick_frame,
+)
 from ffcbf.dynamics import VehicleState, planar_velocity
 from ffcbf.scenario import (
     BatchSummary,
     ScenarioConfig,
     ScenarioError,
-    build_world,
+    World,
     check_assumption1,
     default_config,
     randomize_initial,
@@ -26,7 +30,7 @@ from ffcbf.scenario import (
 class TestWorldGeometry:
     def test_parallel_lanes_separated_by_lane_width(self):
         cfg = default_config()
-        world = build_world(cfg)
+        world = World(cfg)
         # lanes 0/1 run along y, lanes 2/3 along x; opposing pairs sit one
         # lane width apart and crossing pairs meet only inside the box
         x0 = world.lanes[0].entry[0]
@@ -42,7 +46,7 @@ class TestWorldGeometry:
 
     def test_straight_reference_marches_along_lane(self):
         cfg = default_config()
-        world = build_world(cfg)
+        world = World(cfg)
         ref = world.reference(0, 12.0, 6.0)
         q0 = np.asarray(ref(0.0).q_star)
         q2 = np.asarray(ref(2.0).q_star)
@@ -52,7 +56,7 @@ class TestWorldGeometry:
 
     def test_left_turn_reference_rotates_quarter_turn(self):
         cfg = default_config(scenario="one_left_turn", turn_speed=3.0)
-        world = build_world(cfg)
+        world = World(cfg)
         ref = world.reference(0, 10.0, 3.0)  # s_i == turn speed: no ramps
         arc_len = world.turn_radius * math.pi / 2
         t_entry = 10.0 / 3.0
@@ -66,7 +70,7 @@ class TestWorldGeometry:
 
     def test_turn_reference_speed_continuous(self):
         cfg = default_config(scenario="one_left_turn")
-        world = build_world(cfg)
+        world = World(cfg)
         ref = world.reference(0, 12.0, 8.0)  # fast approach: ramps engage
         speeds = [float(np.hypot(*ref(t).q_star[2:])) for t in np.arange(0, 12, 0.01)]
         jumps = np.abs(np.diff(speeds))
@@ -74,7 +78,7 @@ class TestWorldGeometry:
 
     def test_exit_predicates(self):
         cfg = default_config()
-        world = build_world(cfg)
+        world = World(cfg)
         lane = world.lanes[0]
         inside = VehicleState(lane.entry[0], 0.0, lane.psi, 0.0, 5.0)
         past = VehicleState(lane.entry[0], cfg.box_half + 0.1, lane.psi, 0.0, 5.0)
@@ -121,7 +125,7 @@ class TestFloatGeometryBits:
         return np.array([p[0], p[1], tan[0] * spd, tan[1] * spd])
 
     def test_references(self):
-        world = build_world(default_config(scenario="one_left_turn"))
+        world = World(default_config(scenario="one_left_turn"))
         for index, lane in enumerate(world.lanes):
             for d_i, speed in ((9.3, 6.1), (14.0, 3.2)):
                 ref = world.reference(index, d_i, speed)
@@ -138,7 +142,7 @@ class TestFloatGeometryBits:
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_exit_checks(self):
-        world = build_world(default_config(scenario="one_left_turn"))
+        world = World(default_config(scenario="one_left_turn"))
         rng = np.random.default_rng(2)
         for index, lane in enumerate(world.lanes):
             entry, direction, normal = lane_arrays(lane)
@@ -164,7 +168,7 @@ class TestRandomizeInitial:
     def test_degenerate_uniform(self):
         cfg = default_config(delta_d=0.0, delta_s=0.0)
         states = randomize_initial(cfg, trial_rng(cfg, 0))
-        world = build_world(cfg)
+        world = World(cfg)
         for i, st in enumerate(states):
             lane = world.lanes[i]
             d = float((lane.entry[0] - st.x) * lane.direction[0]
@@ -183,7 +187,7 @@ class TestRandomizeInitial:
 
     def test_distance_draw_statistics(self):
         cfg = default_config(seed=11)
-        world = build_world(cfg)
+        world = World(cfg)
         lane = world.lanes[0]
         draws = []
         for trial in range(2500):
@@ -304,6 +308,30 @@ class TestRunTrial:
             r = run_trial(cfg, idx)
             assert r.unsafe == (r.min_h0 < 0.0)
             assert not (r.success and r.deadlock)
+
+    @pytest.mark.parametrize("mode", ["centralized", "decentralized"])
+    def test_certificate_never_warm_starts(self, mode, monkeypatch):
+        # seed-0 left-turn ff trial 0 has infeasible ticks in either mode
+        cfg = default_config("ff", mode, "one_left_turn")
+        calls = []
+        solve = qp.solve
+
+        def recording_solve(problem, warm_start=None):
+            sol = solve(problem, warm_start)
+            calls.append((warm_start, sol))
+            return sol
+
+        monkeypatch.setattr(qp, "solve", recording_solve)
+        run_trial(cfg, 0)
+        # one program per tick, or one per ego in ego order
+        programs = 1 if mode == "centralized" else cfg.num_vehicles
+        assert calls and len(calls) % programs == 0
+        assert any(sol.status == "infeasible" for _, sol in calls)
+        for (_, prev), (warm, _) in zip(calls, calls[programs:]):
+            if prev.status == "optimal":
+                assert warm == prev.active_set
+            else:
+                assert warm is None
 
 
 class TestSafetyRadius:
@@ -520,6 +548,16 @@ class TestConfigValidation:
     def test_negative_seed(self):
         with pytest.raises(ScenarioError):
             default_config(seed=-1)
+
+    def test_config_is_frozen(self):
+        # a changed field would skip both validation and the cached gain
+        cfg = default_config()
+        assert cfg.controller.lqr_gain == lqr_gain(16.0, 8.0, 1.0)
+        for owner, name, value in ((cfg, "seed", 1), (cfg.controller, "lqr_r", 4.0),
+                                   (cfg.controller, "speed_alpha", -5.0)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(owner, name, value)
+        assert replace(cfg.controller, lqr_r=4.0).lqr_gain == lqr_gain(16.0, 8.0, 4.0)
 
     @pytest.mark.parametrize("kw", [
         dict(turn_speed=0.0), dict(turn_speed=-3.0), dict(ref_accel=0.0), dict(ref_accel=-6.0),
