@@ -74,7 +74,10 @@ def _from_dict(cls, data, section: str):
         if is_dataclass(default):
             value = _from_dict(type(default), value, f"{section}.{name}")
         elif type(default) is float and type(value) is int:
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ScenarioError(f"{section}.{name} is too large for a float") from None
         elif type(value) is not type(default):
             raise ScenarioError(
                 f"{section}.{name} must be a {type(default).__name__}, got {value!r}")
@@ -91,7 +94,11 @@ def _from_dict(cls, data, section: str):
 
 def read_config(path: str) -> ScenarioConfig:
     with open(path) as fh:
-        return config_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or an integer too long to parse
+            raise ScenarioError(f"config {path} is not valid JSON: {exc}") from None
+    return config_from_dict(data)
 
 
 def _canonical_json(data) -> str:
@@ -159,9 +166,8 @@ def _trajectory_table(log: TrajectoryLog) -> np.ndarray:
 
 
 def _write_csv(path: str, header: list, table: np.ndarray) -> None:
-    lines = [",".join(header)]
-    lines += [",".join([f"{x:.9g}" for x in row]) for row in table.tolist()]
-    _write_text(path, "\n".join(lines) + "\n")
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    np.savetxt(path, table, fmt="%.9g", delimiter=",", header=",".join(header), comments="")
 
 
 def write_trajectory_csv(path: str, log: TrajectoryLog) -> None:
@@ -227,10 +233,10 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _apply_flags(config: ScenarioConfig, args) -> ScenarioConfig:
+def _apply_flags(config: ScenarioConfig, args, cbf_kind: str | None) -> ScenarioConfig:
     data = config_to_dict(config)
-    if args.cbf is not None:
-        data["controller"]["cbf_kind"] = args.cbf
+    if cbf_kind is not None:
+        data["controller"]["cbf_kind"] = cbf_kind
     if args.scenario is not None:
         data["scenario"] = _SCENARIO_FLAGS[args.scenario]
     if args.mode is not None:
@@ -275,7 +281,7 @@ def _table_row(kind: str, s: BatchSummary) -> str:
 
 
 def cmd_run(args) -> int:
-    config = _apply_flags(_load_base_config(args), args)
+    config = _apply_flags(_load_base_config(args), args, args.cbf)
     if args.trials < 1:
         raise ScenarioError("--trials must be >= 1")
     summary, _ = _run_one(config, args.trials, args.out, args.log_trajectories,
@@ -288,21 +294,18 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _load_base_config(args)
-    args_cbf = args.cbf
-    if args_cbf is not None:
+    if args.cbf is not None:
         raise ScenarioError("compare runs every CBF kind; drop --cbf")
     if args.trials < 1:
         raise ScenarioError("--trials must be >= 1")
     rows = []
     print(_TABLE_HEADER)
     for kind in ("zero", "ff", "rff"):
-        args.cbf = kind
-        cfg = _apply_flags(config, args)
+        cfg = _apply_flags(config, args, kind)
         summary, _ = _run_one(cfg, args.trials, os.path.join(args.out, kind),
                               args.log_trajectories, args.workers)
         rows.append(summary_to_dict(summary, kind))
         print(_table_row(kind, summary))
-    args.cbf = args_cbf
     _write_text(os.path.join(args.out, "compare.json"), _canonical_json({"rows": rows}))
     print(f"outputs written to {args.out}")
     return 0

@@ -139,15 +139,41 @@ def default_config(
 
 @dataclass(frozen=True)
 class Lane:
-    """One approach lane: centerline entry point at the box edge and heading.
+    """One approach lane and the route a vehicle on it drives: the centerline
+    up to the box edge, the quarter-circle left-turn arc if the lane turns,
+    then the exit line from the exit point.
 
     Points and directions are (x, y) float pairs; the lane's left normal is
     direction rotated left, (-dy, dx).
     """
 
-    entry: tuple      # point where the centerline meets the box edge
-    direction: tuple  # unit travel direction
-    psi: float        # heading angle
+    entry: tuple        # point where the centerline meets the box edge
+    direction: tuple    # unit travel direction
+    psi: float          # heading angle
+    exit_point: tuple   # where the route leaves the box
+    exit_dir: tuple     # unit travel direction after exit_point
+    turn: tuple | None  # None (straight), or the arc's (center, radius, theta0)
+
+    @property
+    def arc_len(self) -> float:
+        """Length of the turning lane's quarter-circle arc."""
+        return self.turn[1] * math.pi / 2.0
+
+
+def _build_lane(entry: tuple, direction: tuple, psi: float, across: float,
+                radius: float | None) -> Lane:
+    """The lane that enters the box at entry and crosses it straight (across
+    meters to the far edge) or, given a radius, turns left: the arc's center
+    lies radius along the left normal, and the exit point and direction are
+    the entry point (about the center) and the travel direction, rotated
+    left."""
+    (ex, ey), (dx, dy) = entry, direction
+    if radius is None:
+        return Lane(entry, direction, psi, (ex + dx * across, ey + dy * across), direction, None)
+    cx, cy = ex - dy * radius, ey + dx * radius
+    rx, ry = ex - cx, ey - cy
+    return Lane(entry, direction, psi, (cx - ry, cy + rx), (-dy, dx),
+                ((cx, cy), radius, math.atan2(ry, rx)))
 
 
 class _SpeedProfile:
@@ -156,7 +182,8 @@ class _SpeedProfile:
     def __init__(self, segments):
         # segments: list of (t_start, sigma_start, speed_start, accel); the
         # last segment extends forever.
-        self._segments = segments
+        self._first = segments[0]
+        self._rest = tuple(segments[1:])
 
     @staticmethod
     def constant(speed: float) -> "_SpeedProfile":
@@ -190,8 +217,8 @@ class _SpeedProfile:
         return _SpeedProfile(segs)
 
     def __call__(self, t: float) -> tuple[float, float]:
-        seg = self._segments[0]
-        for cand in self._segments[1:]:
+        seg = self._first
+        for cand in self._rest:
             if cand[0] > t:
                 break
             seg = cand
@@ -206,49 +233,22 @@ def _behind(lane: Lane, d: float) -> tuple:
     return ex - dx * d, ey - dy * d
 
 
-def _turn_frame(lane: Lane, radius: float) -> tuple:
-    """(center, exit point, exit direction) of the left turn from lane: the
-    center lies radius along the left normal, and the exit point and
-    direction are the entry point (about the center) and the travel
-    direction, rotated left."""
-    (ex, ey), (dx, dy) = lane.entry, lane.direction
-    cx, cy = ex - dy * radius, ey + dx * radius
-    rx, ry = ex - cx, ey - cy
-    return (cx, cy), (cx - ry, cy + rx), (-dy, dx)
+class _Reference:
+    """A lane's route driven from d_i meters before the box at the arclength
+    profile's pace.  A straight lane's approach never ends."""
 
-
-class _StraightRef:
-    """Constant-speed reference start + direction * (speed * t) along a lane
-    centerline."""
-
-    def __init__(self, start: tuple, direction: tuple, speed: float):
-        self._start = start
-        self._dir = direction
-        self._speed = speed
-
-    def __call__(self, t: float) -> NominalTarget:
-        (sx, sy), (dx, dy), speed = self._start, self._dir, self._speed
-        st = speed * t
-        return NominalTarget((sx + dx * st, sy + dy * st, dx * speed, dy * speed))
-
-
-class _TurnRef:
-    """Lane -> quarter-circle left-turn arc -> exit lane reference."""
-
-    def __init__(self, lane: Lane, d_i: float, speed: float, radius: float,
-                 arc_speed: float, ramp: float):
-        center, self._exit_point, self._exit_dir = _turn_frame(lane, radius)
+    def __init__(self, lane: Lane, d_i: float, profile: _SpeedProfile):
         self._start = _behind(lane, d_i)
         self._dir = lane.direction
-        self._center = center
-        self._radius = radius
-        self._theta0 = math.atan2(lane.entry[1] - center[1], lane.entry[0] - center[0])
-        self._approach = d_i
-        self._arc_len = radius * math.pi / 2.0
-        self._arc_end = d_i + self._arc_len
-        self._profile = _SpeedProfile.turn(
-            speed, min(speed, arc_speed), ramp, d_i, self._arc_len
-        )
+        self._profile = profile
+        if lane.turn is None:
+            self._approach = math.inf
+        else:
+            self._approach = d_i
+            self._center, self._radius, self._theta0 = lane.turn
+            self._exit_point, self._exit_dir = lane.exit_point, lane.exit_dir
+            self._arc_len = lane.arc_len
+            self._arc_end = d_i + self._arc_len
 
     def __call__(self, t: float) -> NominalTarget:
         sigma, spd = self._profile(t)
@@ -267,45 +267,41 @@ class _TurnRef:
 
 
 class World:
-    """Lane geometry, reference-trajectory factories and exit predicates."""
+    """The four lanes' routes, reference-trajectory factories and exit
+    predicates."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         half = config.lane_width / 2.0
         b = config.box_half
-        self.lanes = (
-            Lane((half, -b), (0.0, 1.0), math.pi / 2),     # from south, north-bound
-            Lane((-half, b), (0.0, -1.0), -math.pi / 2),   # from north, south-bound
-            Lane((b, half), (-1.0, 0.0), math.pi),         # from east, west-bound
-            Lane((-b, -half), (1.0, 0.0), 0.0),            # from west, east-bound
-        )
         self.turn_radius = b + half
         self.turn_vehicle = 0 if config.scenario == "one_left_turn" else None
-        frames = []
-        for index, lane in enumerate(self.lanes):
-            if index == self.turn_vehicle:
-                frames.append(_turn_frame(lane, self.turn_radius)[1:])
-            else:  # straight across the box
-                (ex, ey), (dx, dy) = lane.entry, lane.direction
-                frames.append(((ex + dx * (2.0 * b), ey + dy * (2.0 * b)), lane.direction))
-        self._exit_frames = tuple(frames)
+        approaches = (
+            ((half, -b), (0.0, 1.0), math.pi / 2),     # from south, north-bound
+            ((-half, b), (0.0, -1.0), -math.pi / 2),   # from north, south-bound
+            ((b, half), (-1.0, 0.0), math.pi),         # from east, west-bound
+            ((-b, -half), (1.0, 0.0), 0.0),            # from west, east-bound
+        )
+        self.lanes = tuple(
+            _build_lane(entry, direction, psi, 2.0 * b,
+                        self.turn_radius if index == self.turn_vehicle else None)
+            for index, (entry, direction, psi) in enumerate(approaches)
+        )
 
     def reference(self, index: int, d_i: float, s_i: float):
         """Time-parameterized NominalTarget generator for one vehicle."""
         lane = self.lanes[index]
-        if index == self.turn_vehicle:
-            return _TurnRef(lane, d_i, s_i, self.turn_radius,
-                            self.config.turn_speed, self.config.ref_accel)
-        return _StraightRef(_behind(lane, d_i), lane.direction, s_i)
-
-    def exit_frame(self, index: int) -> tuple:
-        """((x, y) exit point on the box boundary, (dx, dy) exit direction)
-        for one vehicle."""
-        return self._exit_frames[index]
+        if lane.turn is None:
+            profile = _SpeedProfile.constant(s_i)
+        else:
+            profile = _SpeedProfile.turn(s_i, self.config.turn_speed, self.config.ref_accel,
+                                         d_i, lane.arc_len)
+        return _Reference(lane, d_i, profile)
 
     def is_exited(self, index: int, state: VehicleState) -> bool:
         """Past the intersection box and within the exit-lane lateral band."""
-        (x0, y0), (dx, dy) = self._exit_frames[index]
+        lane = self.lanes[index]
+        (x0, y0), (dx, dy) = lane.exit_point, lane.exit_dir
         px, py = state.x - x0, state.y - y0
         along = px * dx + py * dy
         lateral = abs(-px * dy + py * dx)
@@ -432,25 +428,23 @@ def run_trial(config: ScenarioConfig, trial_index: int,
         states = randomize_initial(config, rng)
 
     world = World(config)
-    lanes = world.lanes
     refs = []
     for i, st in enumerate(states):
-        (ex, ey), (dx, dy) = lanes[i].entry, lanes[i].direction
+        # d_i projected back from the placed state, not the drawn d_i: the
+        # two can differ in the last bit, which the reference would carry.
+        (ex, ey), (dx, dy) = world.lanes[i].entry, world.lanes[i].direction
         d_i = (ex - st.x) * dx + (ey - st.y) * dy
         refs.append(world.reference(i, d_i, st.v))
 
     ctrl = config.controller
     n = config.num_vehicles
-    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     params = ctrl.vehicle
     dt = config.dt
 
-    exited = [False] * n
-    exit_time = [None] * n
+    exit_time = [None] * n  # None until the vehicle exits
     min_h0 = math.inf
     always_feasible = True
     deadlock = False
-    success = False
     clock = _StopClock(dt, config.deadlock_window)
     warm = [None] * n  # per program: one centralized, or one per ego
 
@@ -467,11 +461,9 @@ def run_trial(config: ScenarioConfig, trial_index: int,
     vehicles = range(n)
     for tick in range(max_steps + 1):
         for i in vehicles:
-            if not exited[i] and world.is_exited(i, states[i]):
-                exited[i] = True
+            if exit_time[i] is None and world.is_exited(i, states[i]):
                 exit_time[i] = t
-        if all(exited):
-            success = True
+        if None not in exit_time:
             completion_time = max(exit_time)
             break
         if t >= t_end:
@@ -500,7 +492,8 @@ def run_trial(config: ScenarioConfig, trial_index: int,
         if tick == 0:
             initial_barrier_min = min((pt.value for _, _, pt in pairs_now), default=math.inf)
 
-        if clock.tick(all(exited[i] or states[i].v < stop_speed for i in vehicles)):
+        if clock.tick(all(exit_time[i] is not None or states[i].v < stop_speed
+                          for i in vehicles)):
             deadlock = True
             break
         if not feasible:
@@ -516,7 +509,7 @@ def run_trial(config: ScenarioConfig, trial_index: int,
         states = [step(st, u, params, dt) for st, u in zip(states, inputs)]
         t += dt
 
-    timeout = not success and not deadlock
+    success = completion_time is not None
     trajectory = None
     if log is not None and log[0]:
         h0_arr = np.array([row[0] for row in log[4]])
@@ -527,7 +520,7 @@ def run_trial(config: ScenarioConfig, trial_index: int,
             barrier=np.array(log[3]),
             h0=h0_arr,
             feasible=np.array([row[1] for row in log[4]], dtype=bool),
-            pairs=pairs,
+            pairs=tuple((i, j) for i, j, _ in pairs_now),  # the tick frame's order
         )
     return TrialResult(
         trial_index=trial_index,
@@ -535,7 +528,7 @@ def run_trial(config: ScenarioConfig, trial_index: int,
         always_feasible=always_feasible,
         deadlock=deadlock,
         unsafe=bool(min_h0 < 0.0),
-        timeout=timeout,
+        timeout=not success and not deadlock,
         completion_time=completion_time,
         min_h0=float(min_h0),
         initial_barrier_min=float(initial_barrier_min),

@@ -130,6 +130,18 @@ class TestCmdRun:
         assert rc == 2
         assert "nope.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"dt": ', '{"dt": 1' + "0" * 5000 + "}"],
+                             ids=["truncated", "integer-too-long-to-parse"])
+    def test_malformed_config_is_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        rc = main(["run", "--config", str(path), "--trials", "1",
+                   "--out", str(tmp_path / "o"), "--workers", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {path} is not valid JSON")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("doc, message", [
         ({"controller": {"rff": {"ff": {"k": 0.5}}}}, "invalid FfParams"),
         ({"controller": {"cbf_kind": "nope"}}, "unknown cbf_kind"),
@@ -157,6 +169,9 @@ class TestCmdRun:
         ({"controller": {"rff": {"k0_scale": 1e400}}}, "invalid RffParams"),
         # this one ran, with psidot = 0 on every tick
         ({"controller": {"vehicle": {"lr": 1e400}}}, "lr must be positive and finite"),
+        # an integer too large for a float once crashed with an OverflowError
+        ({"dt": 10 ** 400}, "config.dt is too large for a float"),
+        ({"controller": {"a_bar": 10 ** 400}}, "config.controller.a_bar is too large for a float"),
     ])
     def test_bad_config_value_is_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"

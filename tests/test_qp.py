@@ -709,7 +709,7 @@ class TestLazyScipy:
         out = _fresh_interpreter(f"import ffcbf; print({_SCIPY_MODULES})")
         assert out.strip() == "[]"
 
-    def test_phase1_leaves_scipy_unloaded(self):
+    def test_infeasible_verdict_leaves_scipy_unloaded(self):
         code = ("from ffcbf.qp import QpProblem, solve; "
                 "sol = solve(QpProblem(dim=2, target=[3.0, 0.0], "
                 "rows=((((0, 1.0),), 5.0), (((0, -1.0),), -4.0)))); "

@@ -153,7 +153,7 @@ class TestFloatGeometryBits:
                               np.array([-direction[1], direction[0]]))
             else:
                 want_frame = (entry + direction * (2.0 * world.config.box_half), direction)
-            point, direction = world.exit_frame(index)
+            point, direction = lane.exit_point, lane.exit_dir
             for got, want in zip((point, direction), want_frame):
                 assert np.asarray(got).tobytes() == want.tobytes()
             for x, y in rng.uniform(-12, 12, (200, 2)):
@@ -307,7 +307,9 @@ class TestRunTrial:
         for idx in range(5):
             r = run_trial(cfg, idx)
             assert r.unsafe == (r.min_h0 < 0.0)
-            assert not (r.success and r.deadlock)
+            # every trial ends one way, and only a success has a completion time
+            assert [r.success, r.deadlock, r.timeout].count(True) == 1
+            assert r.success == (r.completion_time is not None)
 
     @pytest.mark.parametrize("mode", ["centralized", "decentralized"])
     def test_certificate_never_warm_starts(self, mode, monkeypatch):
@@ -421,9 +423,9 @@ class TestRunBatch:
             run_batch(cfg, 1, log_policy="sometimes")
 
 
-# Seed-0 centralized outcomes of trials 0-2 in every cell, as the numpy
-# active-set QP solver produced them: (flags that hold, completion time,
-# min_h0).  Flags and completion times must match exactly.  min_h0 may move by
+# Seed-0 centralized outcomes of trials 0-2 in every cell, as the dual
+# active-set QP solver of ffcbf.qp produces them: (flags that hold, completion
+# time, min_h0).  Flags and completion times must match exactly.  min_h0 may move by
 # 1e-5 m^2: a last-bit change in one QP solution (another summation order)
 # can grow through the closed loop, while the flags have held on every trial
 # compared.
