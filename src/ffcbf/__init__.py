@@ -10,14 +10,8 @@ from .barriers import (
     PairTerms,
     RffParams,
     constraint_row,
-    h0,
-    h_ff,
-    h_rff,
     h_speed,
     pair_row,
-    smooth_switch,
-    tau_hat,
-    tau_star_hat,
 )
 from .controllers import (
     ControllerConfig,

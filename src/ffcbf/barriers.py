@@ -33,9 +33,9 @@ control path) and take each vehicle's trig and planar velocity from
 VehicleState.trig, which is computed once per state.  controllers.tick_frame
 reads each vehicle's per-tick terms (position, velocity, S columns and drift)
 once per tick with _vehicle_planar and each unordered pair's terms once with
-constraint_row; h_ff and h_rff, the reference values the tests hold those
-to, build the same tuples' leading (x, y, xdot, ydot) from the states, so
-the pair formula (_pair_core) has one copy.
+constraint_row.  The zero-acceleration forecast (_pair_core) has one copy
+here; the tests hold it to the paper's formulas, written out independently
+in tests/paper_reference.py.
 """
 
 from __future__ import annotations
@@ -51,12 +51,6 @@ __all__ = [
     "RffParams",
     "PairTerms",
     "h_speed",
-    "h0",
-    "tau_star_hat",
-    "smooth_switch",
-    "tau_hat",
-    "h_ff",
-    "h_rff",
     "constraint_row",
     "pair_row",
 ]
@@ -124,36 +118,6 @@ def h_speed(state: VehicleState, v_max: float, alpha_gain: float):
     return value, alpha_gain * value, gamma
 
 
-def h0(state_i: VehicleState, state_j: VehicleState, R: float) -> float:
-    """Physical distance barrier: squared distance minus (2R)^2."""
-    dx = state_i.x - state_j.x
-    dy = state_i.y - state_j.y
-    return dx * dx + dy * dy - 4.0 * R * R
-
-
-def tau_star_hat(xi, nu, epsilon: float) -> float:
-    """Regularized minimizer of predicted squared distance over future offset."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    p = xi[0] * nu[0] + xi[1] * nu[1]
-    return -p / (nu[0] * nu[0] + nu[1] * nu[1] + epsilon)
-
-
-def smooth_switch(s: float, delta: float, k: float) -> float:
-    """Sigmoid switch K_delta(s) = 1/2 + 1/2 tanh(k (s - delta)), in (0, 1)."""
-    return 0.5 + 0.5 * math.tanh(k * (s - delta))
-
-
-def tau_hat(tau_star_hat: float, tau_bar: float, k: float) -> float:
-    """Smooth clamp of tau_star_hat into approximately [0, tau_bar]."""
-    if not tau_bar > 0:
-        raise ValueError(f"tau_bar must be positive, got {tau_bar}")
-    ts = tau_star_hat
-    k0 = 0.5 + 0.5 * math.tanh(k * ts)
-    kt = 0.5 + 0.5 * math.tanh(k * (ts - tau_bar))
-    return ts * k0 + (tau_bar - ts) * kt
-
-
 def _pair_core(pi, pj, ff: FfParams):
     """(xi_x, xi_y, nu_x, nu_y, p, q, D, ts, K0, Kt, th) for a vehicle pair
     whose terms pi, pj start with (x, y, xdot, ydot)."""
@@ -172,30 +136,8 @@ def _pair_core(pi, pj, ff: FfParams):
     return xi_x, xi_y, nu_x, nu_y, p, q, D, ts, K0, Kt, th
 
 
-def _position_velocity(state: VehicleState):
-    """(x, y, xdot, ydot) of a vehicle, the leading terms _pair_core reads."""
-    return state.x, state.y, state.trig[0], state.trig[1]
-
-
-def h_ff(state_i: VehicleState, state_j: VehicleState, ff: FfParams) -> float:
-    """Future-focused barrier: predicted squared distance at tau_hat minus (2R)^2."""
-    xi_x, xi_y, nu_x, nu_y, p, q, _, _, _, _, th = _pair_core(
-        _position_velocity(state_i), _position_velocity(state_j), ff)
-    base = xi_x * xi_x + xi_y * xi_y - 4.0 * ff.R * ff.R
-    return base + 2.0 * th * p + th * th * q
-
-
 def _k0_gain(th: float, rff: RffParams) -> float:
     return rff.k0_scale * max(th - 1.0, rff.k0_floor)
-
-
-def h_rff(state_i: VehicleState, state_j: VehicleState, rff: RffParams) -> float:
-    """Relaxed future-focused barrier H = h_ff + k0(tau_hat) * h_0."""
-    ff = rff.ff
-    xi_x, xi_y, nu_x, nu_y, p, q, _, _, _, _, th = _pair_core(
-        _position_velocity(state_i), _position_velocity(state_j), ff)
-    base = xi_x * xi_x + xi_y * xi_y - 4.0 * ff.R * ff.R
-    return base + 2.0 * th * p + th * th * q + _k0_gain(th, rff) * base
 
 
 def _vehicle_planar(state: VehicleState, lr: float):

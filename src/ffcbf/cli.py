@@ -248,8 +248,6 @@ def _apply_flags(config: ScenarioConfig, args, cbf_kind: str | None) -> Scenario
 
 def _load_base_config(args) -> ScenarioConfig:
     if args.config is not None:
-        if not os.path.exists(args.config):
-            raise ScenarioError(f"config file not found: {args.config}")
         return read_config(args.config)
     return ScenarioConfig()
 
@@ -312,8 +310,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    if not os.path.exists(args.trial_log):
-        raise ScenarioError(f"trajectory log not found: {args.trial_log}")
     log = read_trajectory_csv(args.trial_log)
     write_replay_csv(args.out, log)
     print(f"replay written to {args.out}")
@@ -358,9 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A bad config or log, or a path that cannot be read or written (missing,
+    # a directory, an existing file where a directory goes), is a usage error.
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -138,8 +138,3 @@ def step(
         v + sixth * (a + 2.0 * a + 2.0 * a + a),
     )
 
-
-def planar_velocity(state: VehicleState) -> tuple[float, float]:
-    """(xdot, ydot) of the c.g. at the current state."""
-    _check_beta(state.beta)
-    return state.trig[:2]

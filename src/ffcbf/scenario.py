@@ -9,9 +9,11 @@ in the left-turn scenario vehicle 0 follows lane -> quarter-circle arc
 (radius box_half + lane_width/2) -> exit lane, slowing to a constant arc
 speed with ramps so the reference speed stays continuous.
 
-A trial first rejection-samples initial conditions until the constant
-velocity forecast keeps every pair at least 2R apart over the look-ahead
-horizon, then alternates controller ticks with RK4 integration until all
+A trial first rejection-samples initial conditions until Assumption 1
+holds: every pair's ff barrier is >= 0 at t = 0, i.e. the zero-acceleration
+forecast keeps the pair at least 2R apart at tau_hat.  The ff barrier
+screens every barrier kind, so the kinds start from the same draws.  Then
+the trial alternates controller ticks with RK4 integration until all
 vehicles exit at their designated lane (success), every moving vehicle has
 been stopped for 3 s (deadlock), or the time cap is hit (timeout); each
 tick's h0 and barrier values are read from the controller step's TickFrame.
@@ -29,13 +31,13 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from itertools import combinations
 
 import numpy as np
 
-# Not called: ffcbf_bench/tracing.py hooks scenario.h0 by name (it reads 0).
-from .barriers import h0
+from .barriers import _vehicle_planar, constraint_row
 from .controllers import ControllerConfig, NominalTarget, centralized_step, decentralized_step
-from .dynamics import VehicleState, planar_velocity, step
+from .dynamics import VehicleState, step
 
 __all__ = [
     "ScenarioConfig",
@@ -51,6 +53,10 @@ __all__ = [
     "default_config",
     "resolve_workers",
 ]
+
+# ffcbf_bench/tracing.py hooks this name, so traced runs keep working with
+# scenario.h0.us at 0; ROADMAP item 4 removes the line.
+h0 = None
 
 
 class ScenarioError(ValueError):
@@ -320,29 +326,17 @@ def randomize_initial(config: ScenarioConfig, rng: np.random.Generator):
     return states
 
 
-def check_assumption1(states, tau_bar: float, R: float) -> bool:
-    """Accept iff every pair stays >= 2R apart under the constant-velocity
-    forecast over [0, tau_bar] (closed-form clamped minimizer of the
-    quadratic predicted squared distance)."""
-    limit = 4.0 * R * R
-    n = len(states)
-    vels = [planar_velocity(s) for s in states]
-    for i in range(n):
-        for j in range(i + 1, n):
-            xi_x = states[i].x - states[j].x
-            xi_y = states[i].y - states[j].y
-            nu_x = vels[i][0] - vels[j][0]
-            nu_y = vels[i][1] - vels[j][1]
-            q = nu_x * nu_x + nu_y * nu_y
-            if q > 0.0:
-                tau = min(max(-(xi_x * nu_x + xi_y * nu_y) / q, 0.0), tau_bar)
-            else:
-                tau = 0.0
-            dx = xi_x + nu_x * tau
-            dy = xi_y + nu_y * tau
-            if dx * dx + dy * dy < limit:
-                return False
-    return True
+def check_assumption1(states, controller: ControllerConfig) -> bool:
+    """Assumption 1, a safe start: accept iff every pair's ff barrier, the
+    squared gap of the zero-acceleration forecast at tau_hat less (2R)^2, is
+    >= 0 at t = 0.  The ff barrier screens every cbf_kind, so the kinds
+    draw the same starts for the same (seed, trial)."""
+    lr = controller.vehicle.lr
+    planar = [_vehicle_planar(s, lr) for s in states]
+    return all(
+        constraint_row("ff", planar[i], planar[j], controller.alpha_gain, controller.rff,
+                       controller.hocbf_gain, controller.zero_margin).value >= 0.0
+        for i, j in combinations(range(len(states)), 2))
 
 
 class _StopClock:
@@ -415,10 +409,9 @@ def run_trial(config: ScenarioConfig, trial_index: int,
               log_trajectory: bool = False) -> TrialResult:
     """Sample, screen, simulate and score a single trial."""
     rng = trial_rng(config, trial_index)
-    ff = config.controller.rff.ff
     resamples = 0
     states = randomize_initial(config, rng)
-    while not check_assumption1(states, ff.tau_bar, ff.R):
+    while not check_assumption1(states, config.controller):
         resamples += 1
         if resamples > config.max_resamples:
             raise ScenarioError(

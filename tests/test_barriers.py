@@ -6,22 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffcbf.barriers import (
-    FfParams,
-    RffParams,
-    _vehicle_planar,
-    constraint_row,
-    h0,
-    h_ff,
-    h_rff,
-    h_speed,
-    pair_row,
-    smooth_switch,
-    tau_hat,
-    tau_star_hat,
-)
+from ffcbf.barriers import FfParams, RffParams, _vehicle_planar, constraint_row, h_speed, pair_row
 from ffcbf.controllers import ControllerConfig
-from ffcbf.dynamics import ControlInput, VehicleParams, VehicleState, planar_velocity, step
+from ffcbf.dynamics import ControlInput, VehicleParams, VehicleState, step
+from paper_reference import (
+    h0, h_ff, h_rff, pair_tau_hat, planar_velocity, smooth_switch, tau_hat, tau_star_hat,
+)
 
 VEH = VehicleParams()
 FF = FfParams(R=1.25)
@@ -57,13 +47,6 @@ def pair_eval(kind, a, b, wa, wb, alpha_gain=10.0, hocbf_gain=HOCBF, zero_margin
     pa, pb = planar(a), planar(b)
     terms = constraint_row(kind, pa, pb, alpha_gain, rff, hocbf_gain, zero_margin)
     return PairRow(terms.value, *pair_row(terms, pa, pb, wa, wb))
-
-
-def pair_tau_hat(a, b):
-    """tau_hat of a vehicle pair through the scalar paper pieces."""
-    (xa, ya), (xb, yb) = planar_velocity(a), planar_velocity(b)
-    ts = tau_star_hat((a.x - b.x, a.y - b.y), (xa - xb, ya - yb), FF.epsilon)
-    return tau_hat(ts, FF.tau_bar, FF.k)
 
 
 class TestSpeedBarrier:
@@ -198,7 +181,8 @@ class TestRffBarrier:
         for _ in range(500):
             a, b = random_state(rng), random_state(rng)
             k0 = (h_rff(a, b, RFF) - h_ff(a, b, FF))
-            assert abs(k0) <= 0.1 * max(pair_tau_hat(a, b) - 1, 0.001) * abs(h0(a, b, FF.R)) + 1e-9
+            bound = 0.1 * max(pair_tau_hat(a, b, FF) - 1, 0.001) * abs(h0(a, b, FF.R))
+            assert abs(k0) <= bound + 1e-9
 
 
 class TestRelativeKinematics:
@@ -276,7 +260,7 @@ class TestConstraintRow:
             ua = ControlInput(rng.uniform(-1.5, 1.5), rng.uniform(-6, 6))
             ub = ControlInput(rng.uniform(-1.5, 1.5), rng.uniform(-6, 6))
             if kind == "rff":
-                th = pair_tau_hat(a, b)
+                th = pair_tau_hat(a, b, FF)
                 if abs(th - (1.0 + RFF.k0_floor)) < 1e-3:
                     continue  # measure-zero kink of k0: one-sided by design
             (a_mid, b_mid), fd = self.fd_hdot(kind, a, b, ua, ub)

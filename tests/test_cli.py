@@ -183,6 +183,22 @@ class TestCmdRun:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
 
+    def test_config_directory_is_error(self, tmp_path, capsys):
+        rc = main(["run", "--config", str(tmp_path), "--trials", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_existing_file_is_error(self, tmp_path, capsys):
+        config = small_config_file(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main(["run", "--config", config, "--trials", "1", "--out", str(out),
+                   "--workers", "1", "--log-trajectories", "none"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "taken" in err
+
     def test_zero_trials_is_error(self, tmp_path):
         config = small_config_file(tmp_path)
         rc = main(["run", "--config", config, "--trials", "0",
@@ -300,6 +316,11 @@ class TestTrajectoryFiles:
         rc = main(["replay", "--trial-log", str(tmp_path / "gone.csv"),
                    "--out", str(tmp_path / "r.csv")])
         assert rc == 2
+
+    def test_replay_directory_log_is_error(self, tmp_path, capsys):
+        rc = main(["replay", "--trial-log", str(tmp_path), "--out", str(tmp_path / "r.csv")])
+        assert rc == 2 and capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestSummaryDocument:

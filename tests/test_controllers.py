@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from paper_reference import h0
 from test_barriers import pair_eval
 
 from ffcbf import qp, scenario
 from ffcbf.barriers import (
-    FfParams, RffParams, _vehicle_planar, constraint_row, h0, h_speed, pair_row,
+    FfParams, RffParams, _vehicle_planar, constraint_row, h_speed, pair_row,
 )
 from ffcbf.controllers import (
     ControllerConfig,

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ffcbf.barriers import FfParams, _vehicle_planar, h0, h_ff, tau_hat, tau_star_hat
+from ffcbf.barriers import FfParams, _vehicle_planar
 from ffcbf.controllers import ControllerConfig, NominalTarget, lqr_gain, nominal_control
-from ffcbf.dynamics import ControlInput, VehicleParams, VehicleState, planar_velocity, step
+from ffcbf.dynamics import ControlInput, VehicleParams, VehicleState, step
+from paper_reference import h0, h_ff, pair_tau_hat, planar_velocity
 
 PARAMS = VehicleParams()
 FF = FfParams()
@@ -53,8 +54,6 @@ class TestDerivative:
 
     def test_slip_domain_error(self):
         with pytest.raises(ValueError):
-            planar_velocity(VehicleState(0, 0, 0, math.pi / 2, 1))
-        with pytest.raises(ValueError):
             step(VehicleState(0, 0, 0, math.pi / 2, 1), ControlInput(0, 0), PARAMS, 0.01)
 
 
@@ -93,12 +92,6 @@ class TestStep:
         assert 8.0 < ratio < 32.0
 
 
-def pair_tau_hat(a, b):
-    (xa, ya), (xb, yb) = planar_velocity(a), planar_velocity(b)
-    ts = tau_star_hat((a.x - b.x, a.y - b.y), (xa - xb, ya - yb), FF.epsilon)
-    return tau_hat(ts, FF.tau_bar, FF.k)
-
-
 class TestPredictPosition:
     """h_ff is h0 of the constant-velocity forecast of the pair at tau_hat."""
 
@@ -106,14 +99,14 @@ class TestPredictPosition:
         # receding pair: tau_hat = 0, the forecast is the current position
         a = VehicleState(10, 0, 0, 0, 3)
         b = VehicleState(0, 0, 0.4, 0.1, 0)
-        assert pair_tau_hat(a, b) == 0.0
+        assert pair_tau_hat(a, b, FF) == 0.0
         assert h_ff(a, b, FF) == h0(a, b, FF.R)
 
     def test_straight_east(self):
         # east at 3 m/s toward a stopped vehicle: closest at tau_hat = 4 s, x = 12
         a = VehicleState(0, 0, 0, 0, 3)
         b = VehicleState(12, 1, 0, 0, 0)
-        assert pair_tau_hat(a, b) == pytest.approx(4.0, abs=1e-9)
+        assert pair_tau_hat(a, b, FF) == pytest.approx(4.0, abs=1e-9)
         forecast = VehicleState(12, 0, 0, 0, 3)
         assert h_ff(a, b, FF) == pytest.approx(h0(forecast, b, FF.R), abs=1e-9)
 
@@ -126,7 +119,7 @@ class TestPredictPosition:
         # beta = 0, zero input: the constant-velocity forecast is exact
         a = VehicleState(1, 2, 0.7, 0, 4)
         b = VehicleState(12, 4, 2.6, 0, 3)
-        tau = pair_tau_hat(a, b)
+        tau = pair_tau_hat(a, b, FF)
         assert 1.0 < tau < FF.tau_bar
         n = 200
         end_a = rollout(a, ControlInput(0, 0), PARAMS, tau / n, n)
@@ -140,7 +133,7 @@ class TestPredictPosition:
         a = VehicleState(0, 0, 0, 0.3, 4)
         xd, yd = planar_velocity(a)
         b = VehicleState(2 * xd, 2 * yd, 0, 0, 0)
-        tau = pair_tau_hat(a, b)
+        tau = pair_tau_hat(a, b, FF)
         assert tau == pytest.approx(2.0, abs=1e-9)
         assert h_ff(a, b, FF) == pytest.approx(-4 * FF.R ** 2, abs=1e-9)
         n = 200
@@ -190,10 +183,6 @@ class TestPlanarKinematics:
             mu = -np.asarray(gain) @ (zeta - np.asarray(target.q_star))
             accel = planar_accel(st, ControlInput(w0, a0))
             assert np.allclose(accel, mu, atol=1e-8)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            planar_velocity(VehicleState(0, 0, 0, 1.6, 1))
 
 
 def test_params_validation():

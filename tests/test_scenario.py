@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from ffcbf import qp
-from ffcbf.barriers import FfParams, RffParams, h0, h_ff, h_rff
+from ffcbf.barriers import FfParams, RffParams
 from ffcbf.controllers import (
     ControllerConfig, NominalTarget, _nominals, build_qp, lqr_gain, tick_frame,
 )
-from ffcbf.dynamics import VehicleState, planar_velocity
+from ffcbf.dynamics import VehicleState
 from ffcbf.scenario import (
     BatchSummary,
     ScenarioConfig,
@@ -25,6 +25,7 @@ from ffcbf.scenario import (
     trial_rng,
     _StopClock,
 )
+from paper_reference import h0, h_ff, h_rff, min_gap_screen, planar_velocity
 
 
 class TestWorldGeometry:
@@ -201,21 +202,56 @@ class TestRandomizeInitial:
 
 
 class TestAssumptionScreen:
+    CTRL = ControllerConfig(rff=RffParams(ff=FfParams(tau_bar=5.0, R=2.5)))
+
     def test_stationary_far_accept(self):
         a = VehicleState(0, 0, 0, 0, 0)
         b = VehicleState(10, 0, 0, 0, 0)
-        assert check_assumption1([a, b], 5.0, 2.5)
+        assert check_assumption1([a, b], self.CTRL)
 
     def test_head_on_collision_course_reject(self):
         # 20 m gap closing at 8 m/s with 2R = 5: contact predicted at 2.5 s
         a = VehicleState(0, 0, 0, 0, 4)
         b = VehicleState(20, 0, math.pi, 0, 4)
-        assert not check_assumption1([a, b], 5.0, 2.5)
+        assert not check_assumption1([a, b], self.CTRL)
 
     def test_receding_accept(self):
         a = VehicleState(0, 0, math.pi, 0, 4)
         b = VehicleState(10, 0, 0, 0, 4)
-        assert check_assumption1([a, b], 5.0, 2.5)
+        assert check_assumption1([a, b], self.CTRL)
+
+    @pytest.mark.parametrize("scenario", ["all_straight", "one_left_turn"])
+    def test_agrees_with_the_hard_clamp_screen(self, scenario):
+        # Every draw of seed 0's first 200 trials, resamples included: the ff
+        # barrier at t = 0 and the hard-clamped minimum gap give one verdict.
+        cfg = default_config(scenario=scenario, seed=0)
+        ctrl = cfg.controller
+        ff = ctrl.rff.ff
+        draws = rejected = 0
+        for trial in range(200):
+            rng = trial_rng(cfg, trial)
+            for _ in range(cfg.max_resamples + 1):
+                states = randomize_initial(cfg, rng)
+                verdict = check_assumption1(states, ctrl)
+                assert verdict == min_gap_screen(states, ff.tau_bar, ff.R), (trial, states)
+                draws += 1
+                if verdict:
+                    break
+                rejected += 1
+        assert rejected > 0 and draws == 200 + rejected
+
+    @pytest.mark.parametrize("scenario", ["all_straight", "one_left_turn"])
+    def test_every_kind_draws_the_same_starts(self, scenario):
+        # the screen reads the ff barrier whatever the kind, so a (seed,
+        # trial) gives every kind the same initial states and resample count
+        runs = {}
+        for kind in ("zero", "ff", "rff"):
+            cfg = default_config(kind, scenario=scenario, seed=0, t_max=0.01)
+            runs[kind] = [run_trial(cfg, trial, log_trajectory=True) for trial in range(8)]
+        starts = {kind: [(r.resamples, r.trajectory.states[0].tolist()) for r in results]
+                  for kind, results in runs.items()}
+        assert starts["zero"] == starts["ff"] == starts["rff"]
+        assert any(resamples > 0 for resamples, _ in starts["ff"])
 
 
 class TestDetectDeadlock:
@@ -514,8 +550,9 @@ class TestSeed0Outcomes:
 
 class TestTickFrameMatchesReferences:
     """run_trial reads each tick's h0 and barrier values from the controller
-    step's TickFrame; they equal the reference formulas of the logged states
-    bit for bit."""
+    step's TickFrame: tick_frame of the logged states gives them bit for
+    bit.  h0 is the paper's formula bit for bit; the ff and rff values agree
+    with the paper's formulas, written out in paper_reference, to rounding."""
 
     @pytest.mark.parametrize("mode", ["centralized", "decentralized"])
     @pytest.mark.parametrize("kind", ["zero", "ff", "rff"])
@@ -529,12 +566,20 @@ class TestTickFrameMatchesReferences:
             "ff": lambda a, b: h_ff(a, b, rff.ff),
             "rff": lambda a, b: h_rff(a, b, rff),
         }[kind]
+        # _pair_core expands the forecast gap; the paper's form squares it
+        tol = 0.0 if kind == "zero" else 1e-12
         assert log.t.shape == (100,) and log.pairs == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         for states, barrier, h0_row in zip(log.states.tolist(), log.barrier.tolist(),
                                            log.h0.tolist()):
             states = [VehicleState(*z) for z in states]
+            frame = tick_frame(states, cfg.controller)
+            assert [(i, j) for i, j, _ in frame.pairs] == list(log.pairs)
+            assert [pt.h0 for _, _, pt in frame.pairs] == h0_row
+            assert [pt.value for _, _, pt in frame.pairs] == barrier
             assert h0_row == [h0(states[i], states[j], rff.ff.R) for i, j in log.pairs]
-            assert barrier == [reference(states[i], states[j]) for i, j in log.pairs]
+            for (i, j), value in zip(log.pairs, barrier):
+                want = reference(states[i], states[j])
+                assert abs(value - want) <= tol * (1.0 + abs(want)), (i, j)
         assert r.initial_barrier_min == min(log.barrier[0].tolist())
 
 
